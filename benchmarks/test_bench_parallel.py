@@ -11,13 +11,13 @@ speedup degrades toward (or below) 1x and only the identity checks
 remain meaningful.
 """
 
-import json
 import os
 import time
 
 import numpy as np
 
 from repro.collection.harness import collect_corpus
+from repro.collection.shards import shard_bytes
 from repro.experiments.common import default_forest
 from repro.features.tls_features import extract_tls_matrix
 
@@ -48,8 +48,8 @@ def test_bench_parallel_collection(benchmark):
         )
     )
 
-    identical = json.dumps([s.to_dict() for s in sequential]) == json.dumps(
-        [s.to_dict() for s in parallel]
+    identical = shard_bytes("svc1", sequential.sessions) == shard_bytes(
+        "svc1", parallel.sessions
     )
     assert identical
     benchmark.extra_info.update(

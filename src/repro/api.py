@@ -17,11 +17,8 @@ signatures::
     verdicts = detector.ingest("user1/svc1", transaction)
 
 The deep module paths (``repro.collection.harness`` and friends)
-remain the implementation and keep working, but the *package-level*
-conveniences they used to be imported through
-(``from repro.collection import collect_corpus``, ...) are deprecated
-shims that warn once and point here.  This facade is the compatibility
-contract: its signatures only grow keyword arguments.
+remain the implementation; this facade is the compatibility contract:
+its signatures only grow keyword arguments.
 
 Functions here accept plain data (arrays, transaction lists,
 datasets), honour the resolved :mod:`repro.config` (jobs, scale,
@@ -205,10 +202,10 @@ def list_workloads() -> "list[dict[str, object]]":
 
 
 def load_corpus(path: "str") -> Dataset:
-    """Load a stored corpus of any format (1-4).
+    """Load a stored corpus: a format-4 file or shard directory.
 
-    Files (formats 1-3) return a :class:`Dataset`; format-4 shard
-    directories (or their ``manifest.json``) return a lazy
+    A corpus file returns a :class:`Dataset`; a shard directory (or
+    its ``manifest.json``) returns a lazy
     :class:`~repro.collection.shards.ShardedDataset` that reads only
     the manifest up front.  Malformed corpora raise
     :class:`~repro.collection.dataset.DatasetFormatError`.

@@ -3,25 +3,25 @@
 The subcommands cover the operational workflow an ISP user of this
 library would run::
 
-    python -m repro collect  --service svc1 -n 500 -o corpus.json.gz
+    python -m repro collect  --service svc1 -n 500 -o corpus.npz
     python -m repro collect  --service svc1 -n 5000 --shard-size 512 -o corpus.shards
-    python -m repro collect  --service svc1 -n 500 --scenario policed-2mbps -o policed.json.gz
-    python -m repro collect  --service rtc1 --workload rtc -n 500 -o calls.json.gz
+    python -m repro collect  --service svc1 -n 500 --scenario policed-2mbps -o policed.npz
+    python -m repro collect  --service rtc1 --workload rtc -n 500 -o calls.npz
     python -m repro corpus   info|verify|shard PATH [-o DIR --shard-size N]
     python -m repro scenario [--list] [NAME ...]
     python -m repro workload [--list] [NAME ...]
-    python -m repro train    --corpus corpus.json.gz -o model.pkl
-    python -m repro evaluate --corpus corpus.json.gz [--model model.pkl]
+    python -m repro train    --corpus corpus.npz -o model.pkl
+    python -m repro evaluate --corpus corpus.npz [--model model.pkl]
     python -m repro split    --transactions stream.json [--demo svc1]
-    python -m repro stream   --corpus corpus.json.gz [--demo svc1] [--batch-check]
+    python -m repro stream   --corpus corpus.npz [--demo svc1] [--batch-check]
     python -m repro experiment fig5 table3 ...   (or: all, or --list)
     python -m repro cache    info|clear
     python -m repro config   show
     python -m repro trace    report|validate PATH
 
 Models are pickled Random Forests together with their feature schema;
-corpora use the dataset JSON format of
-:mod:`repro.collection.dataset`.  Experiments resolve through the
+a corpus is one format-4 npz shard file (or a directory of them, see
+:mod:`repro.collection.dataset`).  Experiments resolve through the
 declarative registry (:mod:`repro.experiments.registry`); expensive
 intermediates live in the artifact store under ``REPRO_CACHE_DIR``
 (:mod:`repro.artifacts`), which ``cache info``/``cache clear`` manage.
@@ -44,7 +44,7 @@ from pathlib import Path
 from repro import config as config_mod
 from repro import telemetry
 from repro._version import __version__
-from repro.collection.dataset import FORMAT_VERSION, Dataset
+from repro.collection.dataset import Dataset, DatasetFormatError
 from repro.collection.harness import collect_corpus
 from repro.features.tls_features import extract_tls_matrix
 from repro.tlsproxy.table import TransactionTable
@@ -261,14 +261,10 @@ def _cmd_workload(args: argparse.Namespace) -> int:
 
 
 def _cmd_corpus(args: argparse.Namespace) -> int:
-    from repro.collection.dataset import DatasetFormatError
     from repro.collection.shards import ShardedDataset, save_sharded
 
     try:
         dataset = Dataset.load(args.path)
-    except DatasetFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except OSError as exc:
         print(f"error: cannot read {args.path}: {exc}", file=sys.stderr)
         return 1
@@ -284,8 +280,7 @@ def _cmd_corpus(args: argparse.Namespace) -> int:
             )
             print(f"  manifest digest: {dataset.manifest_digest}")
         else:
-            version = getattr(dataset, "_format_version", FORMAT_VERSION)
-            print(f"{args.path}: format {version} (monolithic file)")
+            print(f"{args.path}: format 4 (single-shard file)")
             print(f"  service: {dataset.service}")
             print(f"  sessions: {len(dataset)}")
         workload = getattr(dataset, "workload", "has")
@@ -309,11 +304,7 @@ def _cmd_corpus(args: argparse.Namespace) -> int:
             # and validates the offset index — parsing is the check.
             print(f"{args.path}: OK ({len(dataset)} sessions parsed)")
             return 0
-        try:
-            result = dataset.verify()
-        except DatasetFormatError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+        result = dataset.verify()
         print(
             f"{args.path}: OK ({result['shards']} shards, "
             f"{result['bytes'] / 1e6:.1f} MB, all digests match)"
@@ -720,10 +711,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "corpus",
         help="inspect, verify, or re-shard a stored corpus",
-        description="info: format/session/label stats for any corpus "
-                    "(formats 1-4). verify: re-hash every shard against "
-                    "the manifest digests. shard: rewrite a corpus as a "
-                    "format-4 shard directory.",
+        description="info: format/session/label stats for a corpus "
+                    "file or shard directory. verify: re-hash every shard "
+                    "against the manifest digests. shard: rewrite a corpus "
+                    "as a format-4 shard directory.",
     )
     p.add_argument("action", choices=("info", "verify", "shard"))
     p.add_argument("path", help="corpus file or shard directory")
@@ -774,7 +765,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "workload as a timestamped event stream through "
                     "repro.api.StreamDetector and report the verdicts.",
     )
-    p.add_argument("--corpus", help="dataset JSON (from 'collect') to replay")
+    p.add_argument("--corpus", help="corpus file or shard directory (from 'collect') to replay")
     p.add_argument("--transactions", help="JSON: [[start,end,ul,dl,sni],...]")
     p.add_argument("--demo", choices=("svc1", "svc2", "svc3"),
                    help="generate demo per-user streams instead")
@@ -845,7 +836,13 @@ def main(argv: list[str] | None = None) -> int:
             )
         stack.enter_context(telemetry.maybe_tracing())
         stack.enter_context(telemetry.span("command", command=args.command))
-        return args.func(args)
+        try:
+            return args.func(args)
+        except DatasetFormatError as exc:
+            # A malformed, truncated or retired-format corpus from any
+            # subcommand is a user error, not a crash.
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":

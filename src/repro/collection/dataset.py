@@ -8,37 +8,21 @@ metadata, and the ground-truth labels.  Packet traces are *not* stored;
 they are synthesized on demand from the transfer arrays by
 :func:`SessionRecord.packet_trace`.
 
-Records serialize to plain JSON (optionally gzipped) so corpora can be
-cached between experiment runs.  Large numeric arrays (``transfers``,
-``http``, ``connections``) are stored as base64-encoded raw bytes
-inside the JSON envelope (format 2) — an order of magnitude faster
-than the old per-element list round-trip and exact to the bit.  Format
-3 additionally hoists every session's TLS transactions into one
-corpus-level columnar block (the struct-of-arrays layout of
-:class:`~repro.tlsproxy.table.TransactionTable`, same base64 codec,
-SNI hostnames dictionary-encoded), so loading reconstitutes the
-transaction table directly instead of re-parsing per-session lists.
-Format-1 (nested lists) and format-2 corpora still load; malformed
-files raise :class:`DatasetFormatError`.
-
-Format 4 is not a file at all but a *sharded directory* —
-``manifest.json`` plus npz-backed columnar shard blocks — for corpora
-that must not be materialized whole (see
-:mod:`repro.collection.shards`).  :meth:`Dataset.load` dispatches on
-the path: a directory (or its ``manifest.json``) returns a lazy
-:class:`~repro.collection.shards.ShardedDataset`; and
-:meth:`Dataset.save` with ``shard_size`` writes one.
+A corpus file is exactly one format-4 shard: the npz-backed columnar
+block of :func:`repro.collection.shards.encode_shard` (float64 columns
+as raw bytes, so the round-trip is exact to the bit), written by
+:meth:`Dataset.save` and read back by :meth:`Dataset.load` through the
+same reader the shard directories use.  A format-4 *directory* —
+``manifest.json`` plus many such shards, for corpora that must not be
+materialized whole (see :mod:`repro.collection.shards`) — loads as a
+lazy :class:`~repro.collection.shards.ShardedDataset`, and
+:meth:`Dataset.save` with ``shard_size`` writes one.  The JSON corpus
+files of formats 1-3 are no longer read: loading one raises
+:class:`DatasetFormatError` asking for a re-collection.
 """
 
 from __future__ import annotations
 
-import base64
-import binascii
-import gzip
-import json
-import os
-import tempfile
-import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, Sequence
@@ -46,6 +30,14 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from repro import telemetry
+from repro.artifacts import atomic_write_bytes
+from repro.collection.shards import (
+    MANIFEST_NAME,
+    ShardedDataset,
+    read_shard,
+    save_sharded,
+    shard_bytes,
+)
 from repro.has.player import SessionTrace
 from repro.has.services import ServiceProfile
 from repro.net.packets import PacketTrace, synthesize_packet_trace
@@ -57,37 +49,10 @@ from repro.tlsproxy.table import TransactionTable
 __all__ = ["SessionRecord", "Dataset", "DatasetFormatError"]
 
 _RESOURCE_CODES = {rt: i for i, rt in enumerate(ResourceType)}
-_RESOURCE_FROM_CODE = {i: rt for rt, i in _RESOURCE_CODES.items()}
-
-#: On-disk format version written by :meth:`Dataset.save` (files).
-FORMAT_VERSION = 3
-
-#: *File* format versions :meth:`Dataset.load` understands; format 4
-#: is the sharded directory layout (:mod:`repro.collection.shards`).
-SUPPORTED_FORMATS = (1, 2, 3)
 
 
 class DatasetFormatError(RuntimeError):
     """A corpus file is malformed, truncated, or of an unknown format."""
-
-
-def _encode_array(a: np.ndarray) -> dict:
-    """Array -> JSON-safe dict: dtype + shape + base64 raw bytes."""
-    a = np.ascontiguousarray(a)
-    return {
-        "dtype": a.dtype.str,
-        "shape": list(a.shape),
-        "b64": base64.b64encode(a.tobytes()).decode("ascii"),
-    }
-
-
-def _decode_array(payload, dtype: np.dtype | type | str) -> np.ndarray:
-    """Inverse of :func:`_encode_array`; accepts format-1 lists too."""
-    if isinstance(payload, dict):
-        raw = base64.b64decode(payload["b64"])
-        a = np.frombuffer(raw, dtype=np.dtype(payload["dtype"]))
-        return a.reshape(payload["shape"]).astype(dtype, copy=True)
-    return np.asarray(payload, dtype=dtype)
 
 
 #: Columns of the transfer array, in order.
@@ -270,111 +235,6 @@ class SessionRecord:
         """Boolean mask over HTTP transactions of the given type."""
         return self.http["resource_code"] == _RESOURCE_CODES[resource]
 
-    # ------------------------------------------------------------------
-    def to_dict(self, include_tls: bool = True) -> dict:
-        """JSON-serializable representation.
-
-        ``include_tls=False`` omits the per-session transaction rows —
-        format-3 corpora store them once, columnar, at the corpus level.
-        """
-        payload = {
-            "service": self.service,
-            "video_id": self.video_id,
-            "http": {k: _encode_array(v) for k, v in self.http.items()},
-            "transfers": _encode_array(self.transfers),
-            "connections": _encode_array(self.connections),
-            "labels": {
-                "rebuffering_ratio": self.labels.rebuffering_ratio,
-                "rebuffering": self.labels.rebuffering,
-                "quality": self.labels.quality,
-                "combined": self.labels.combined,
-            },
-            "watch_duration_s": self.watch_duration_s,
-            "session_end": self.session_end,
-            "play_time": self.play_time,
-            "stall_time": self.stall_time,
-            "startup_delay": self.startup_delay,
-            "link_mean_bps": self.link_mean_bps,
-            "session_hosts": list(self.session_hosts),
-        }
-        # Scenario/workload metadata and the policed label are written
-        # only when set: identity/has corpora must serialize
-        # byte-for-byte as before those registries existed
-        # (golden-digest contract).
-        if self.scenario != "identity":
-            payload["scenario"] = self.scenario
-        if self.workload != "has":
-            payload["workload"] = self.workload
-        if self.labels.policed:
-            payload["labels"]["policed"] = self.labels.policed
-        if include_tls:
-            payload["tls_transactions"] = [
-                [t.start, t.end, t.uplink_bytes, t.downlink_bytes, t.sni]
-                for t in self.tls_transactions
-            ]
-        return payload
-
-    @classmethod
-    def from_dict(
-        cls,
-        payload: dict,
-        tls_transactions: list[TlsTransaction] | None = None,
-    ) -> "SessionRecord":
-        """Inverse of :meth:`to_dict` (accepts format 1 and 2 arrays).
-
-        Format-3 corpora keep the transaction rows columnar at the
-        corpus level; the loader passes each session's slice in via
-        ``tls_transactions`` instead of the payload.
-        """
-        http = {
-            "start": _decode_array(payload["http"]["start"], np.float64),
-            "end": _decode_array(payload["http"]["end"], np.float64),
-            "request_bytes": _decode_array(payload["http"]["request_bytes"], np.int64),
-            "response_bytes": _decode_array(payload["http"]["response_bytes"], np.int64),
-            "resource_code": _decode_array(payload["http"]["resource_code"], np.int8),
-            "quality": _decode_array(payload["http"]["quality"], np.int8),
-        }
-        labels = SessionLabels(
-            rebuffering_ratio=payload["labels"]["rebuffering_ratio"],
-            rebuffering=payload["labels"]["rebuffering"],
-            quality=payload["labels"]["quality"],
-            combined=payload["labels"]["combined"],
-            policed=int(payload["labels"].get("policed", 0)),
-        )
-        if tls_transactions is None:
-            tls_transactions = [
-                TlsTransaction(
-                    start=row[0],
-                    end=row[1],
-                    uplink_bytes=int(row[2]),
-                    downlink_bytes=int(row[3]),
-                    sni=row[4],
-                )
-                for row in payload["tls_transactions"]
-            ]
-        return cls(
-            service=payload["service"],
-            video_id=payload["video_id"],
-            tls_transactions=tls_transactions,
-            http=http,
-            transfers=_decode_array(payload["transfers"], np.float64).reshape(
-                -1, len(_TRANSFER_COLUMNS)
-            ),
-            connections=_decode_array(payload["connections"], np.float64).reshape(
-                -1, 3
-            ),
-            labels=labels,
-            watch_duration_s=payload["watch_duration_s"],
-            session_end=payload["session_end"],
-            play_time=payload["play_time"],
-            stall_time=payload["stall_time"],
-            startup_delay=payload["startup_delay"],
-            link_mean_bps=payload["link_mean_bps"],
-            session_hosts=tuple(payload["session_hosts"]),
-            scenario=payload.get("scenario", "identity"),
-            workload=payload.get("workload", "has"),
-        )
-
 
 @dataclass
 class Dataset:
@@ -451,9 +311,9 @@ class Dataset:
     def tls_table(self) -> TransactionTable:
         """The corpus's TLS transactions as one columnar table.
 
-        Built once and cached (format-3 loads arrive with it already
+        Built once and cached (loaded corpora arrive with it already
         populated); every vectorized consumer — feature extraction,
-        boundary evaluation, serialization — shares this instance.  The
+        boundary evaluation — shares this instance.  The
         cache tracks the session count, so a table built before direct
         ``sessions`` mutations is discarded; consumers that mutate
         records in place should call :meth:`invalidate_tls_table`.
@@ -472,161 +332,45 @@ class Dataset:
 
     # ------------------------------------------------------------------
     def save(self, path: str | Path, shard_size: int | None = None):
-        """Write the corpus as (gzipped, if ``.gz``) format-3 JSON.
+        """Write the corpus as one format-4 shard file at ``path``.
+
+        The bytes are exactly those
+        :func:`repro.collection.shards.write_shard` produces for the
+        same sessions, under whatever name the caller gave.  The write is atomic (temp file + ``os.replace``), so a
+        concurrent reader never sees a truncated corpus.
 
         With ``shard_size`` set, ``path`` becomes a format-4 *shard
         directory* instead (:func:`repro.collection.shards.save_sharded`
         — ``shard_size`` sessions per npz shard, manifest written
         last); the lazy :class:`~repro.collection.shards.ShardedDataset`
         view of what was written is returned.
-
-        The TLS transactions of every session go into one corpus-level
-        columnar block (``tls``): the four float64 columns and the
-        offset index base64-encoded like every other array, SNI
-        hostnames dictionary-encoded (unique host list + per-row int
-        codes).  The write is atomic: bytes go to a temp file in the
-        target directory which is then ``os.replace``d over ``path``,
-        so a concurrent reader (parallel benchmark/experiment runs
-        share the ``.cache/`` directory) never sees a truncated corpus.
         """
         path = Path(path)
         if shard_size is not None:
-            from repro.collection.shards import save_sharded
-
             return save_sharded(self, path, shard_size)
         with telemetry.span("dataset.save", sessions=len(self.sessions)) as sp:
-            table = self.tls_table()
-            hosts = sorted(set(table.sni))
-            host_code = {h: i for i, h in enumerate(hosts)}
-            codes = np.fromiter(
-                (host_code[s] for s in table.sni), dtype=np.int32, count=table.n_rows
-            )
-            payload = {
-                "format": FORMAT_VERSION,
-                "service": self.service,
-                "tls": {
-                    "start": _encode_array(table.start),
-                    "end": _encode_array(table.end),
-                    "uplink": _encode_array(table.uplink),
-                    "downlink": _encode_array(table.downlink),
-                    "offsets": _encode_array(table.offsets),
-                    "hosts": hosts,
-                    "host_codes": _encode_array(codes),
-                },
-                "sessions": [s.to_dict(include_tls=False) for s in self.sessions],
-            }
-            raw = json.dumps(payload, separators=(",", ":")).encode()
-            if path.suffix == ".gz":
-                raw = gzip.compress(raw, compresslevel=4)
+            raw = shard_bytes(self.service, self.sessions)
             sp.set(bytes=len(raw))
             telemetry.count("dataset.bytes_written", len(raw))
-            fd, tmp_name = tempfile.mkstemp(
-                dir=path.parent, prefix=f".{path.name}.", suffix=".tmp"
-            )
-            try:
-                with os.fdopen(fd, "wb") as fh:
-                    fh.write(raw)
-                os.replace(tmp_name, path)
-            except BaseException:
-                try:
-                    os.unlink(tmp_name)
-                except OSError:
-                    pass
-                raise
+            atomic_write_bytes(path, raw)
 
     @classmethod
     def load(cls, path: str | Path):
-        """Read a corpus written by :meth:`save` (formats 1 through 4).
+        """Read a corpus written by :meth:`save`.
 
-        ``path`` may be a corpus *file* (formats 1-3, returning a
-        :class:`Dataset`) or a format-4 shard *directory* — or its
-        ``manifest.json`` — returning a lazy
-        :class:`~repro.collection.shards.ShardedDataset` that reads
-        only the manifest up front.
+        ``path`` may be a corpus *file* (returning a :class:`Dataset`)
+        or a format-4 shard *directory* — or its ``manifest.json`` —
+        returning a lazy :class:`~repro.collection.shards.ShardedDataset`
+        that reads only the manifest up front.
 
-        Any malformed, truncated, or unknown-format corpus raises a
-        single :class:`DatasetFormatError` naming the offending path —
-        parsing internals (``KeyError``, ``binascii.Error``, torn gzip
-        streams, ...) never leak.  A missing path keeps raising plain
-        ``OSError``.
+        A malformed or truncated corpus file, or a retired JSON one
+        (formats 1-3), raises :class:`DatasetFormatError` naming the
+        path.  A missing path keeps raising plain ``OSError``.
         """
         path = Path(path)
-        if path.is_dir() or path.name == "manifest.json":
-            from repro.collection.shards import ShardedDataset
-
+        if path.is_dir() or path.name == MANIFEST_NAME:
             return ShardedDataset.load(path)
-        raw = path.read_bytes()
-        try:
-            with telemetry.span("dataset.load", bytes=len(raw)) as sp:
-                if path.suffix == ".gz":
-                    raw = gzip.decompress(raw)
-                payload = json.loads(raw)
-                if not isinstance(payload, dict):
-                    raise ValueError("corpus payload is not a JSON object")
-                version = payload.get("format", 1)
-                if version == 4:
-                    raise ValueError(
-                        "format 4 is a sharded directory layout, not a "
-                        "file — pass the corpus directory (or its "
-                        "manifest.json) instead"
-                    )
-                if version not in SUPPORTED_FORMATS:
-                    raise ValueError(
-                        f"unknown corpus format {version!r} "
-                        f"(supported: {SUPPORTED_FORMATS})"
-                    )
-                sp.set(format=version)
-                if version >= 3:
-                    dataset = cls._from_payload_v3(payload)
-                else:
-                    dataset = cls(
-                        service=payload["service"],
-                        sessions=[
-                            SessionRecord.from_dict(p) for p in payload["sessions"]
-                        ],
-                    )
-                sp.set(sessions=len(dataset.sessions))
-                dataset._format_version = version
-                return dataset
-        except (
-            KeyError,
-            IndexError,
-            ValueError,
-            TypeError,
-            binascii.Error,
-            EOFError,
-            zlib.error,
-            gzip.BadGzipFile,
-            json.JSONDecodeError,
-            UnicodeDecodeError,
-        ) as exc:
-            raise DatasetFormatError(f"corrupt corpus file {path}: {exc}") from exc
-
-    @classmethod
-    def _from_payload_v3(cls, payload: dict) -> "Dataset":
-        """Materialize a format-3 corpus: columnar TLS block + sessions."""
-        tls = payload["tls"]
-        hosts = list(tls["hosts"])
-        codes = _decode_array(tls["host_codes"], np.int64)
-        table = TransactionTable(
-            start=_decode_array(tls["start"], np.float64),
-            end=_decode_array(tls["end"], np.float64),
-            uplink=_decode_array(tls["uplink"], np.float64),
-            downlink=_decode_array(tls["downlink"], np.float64),
-            offsets=_decode_array(tls["offsets"], np.int64),
-            sni=tuple(hosts[c] for c in codes),
-        )
-        if table.n_sessions != len(payload["sessions"]):
-            raise ValueError(
-                f"TLS offset index covers {table.n_sessions} sessions "
-                f"but the corpus stores {len(payload['sessions'])}"
-            )
-        dataset = cls(
-            service=payload["service"],
-            sessions=[
-                SessionRecord.from_dict(p, tls_transactions=table.transactions(i))
-                for i, p in enumerate(payload["sessions"])
-            ],
-        )
-        dataset._tls_table = table
+        with telemetry.span("dataset.load", bytes=path.stat().st_size) as sp:
+            dataset = read_shard(path)
+            sp.set(sessions=len(dataset))
         return dataset

@@ -1,6 +1,8 @@
-"""Sharded (format-4) corpora: out-of-core storage for corpus scale.
+"""Format-4 corpora: npz shard blocks, alone or in a sharded directory.
 
-A format-4 corpus is a *directory* instead of one JSON blob::
+A corpus *file* is exactly one shard (:meth:`Dataset.save
+<repro.collection.dataset.Dataset.save>`).  A corpus that must not be
+materialized whole is a *directory* of them::
 
     corpus.shards/
         manifest.json        # format, service, per-shard counts/digests
@@ -12,8 +14,8 @@ Each shard packs a fixed run of sessions as plain numpy arrays — one
 :class:`~repro.tlsproxy.table.TransactionTable` slab for the TLS
 columns (the struct-of-arrays layout, SNI dictionary-encoded) plus
 flat+offset encodings of the per-session HTTP/transfer/connection
-arrays and scalar columns.  No base64-in-JSON: ``np.savez`` stores the
-raw bytes, and ``np.load`` decompresses only the members a reader
+arrays and scalar columns.  ``np.savez_compressed`` stores the raw
+bytes, and ``np.load`` decompresses only the members a reader
 touches, so reading a shard's label column never materializes its
 transactions.
 
@@ -42,6 +44,7 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import zlib
 from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
@@ -62,7 +65,9 @@ __all__ = [
     "MANIFEST_NAME",
     "ShardEntry",
     "ShardedDataset",
+    "read_shard",
     "save_sharded",
+    "shard_bytes",
     "shard_name",
     "write_shard",
 ]
@@ -207,6 +212,9 @@ def decode_shard(arrays: dict) -> "Dataset":
     table = TransactionTable.from_arrays(
         {k[len("tls_"):]: arrays[k] for k in arrays if k.startswith("tls_")}
     )
+    for column in ("start", "end", "uplink", "downlink"):
+        if not np.isfinite(getattr(table, column)).all():
+            raise ValueError(f"TLS column {column!r} holds non-finite values")
     n = table.n_sessions
     host_offsets = np.asarray(arrays["session_hosts_offsets"], dtype=np.int64)
     http_offsets = np.asarray(arrays["http_offsets"], dtype=np.int64)
@@ -274,6 +282,52 @@ def decode_shard(arrays: dict) -> "Dataset":
     return dataset
 
 
+def shard_bytes(service: str, records: "Sequence[SessionRecord]") -> bytes:
+    """The npz file bytes of one shard (also a whole corpus file)."""
+    buffer = io.BytesIO()
+    np.savez_compressed(buffer, **encode_shard(service, records))
+    return buffer.getvalue()
+
+
+#: Leading bytes of the retired JSON corpus files (formats 1-3):
+#: gzip's magic number, or the JSON text itself.
+_JSON_CORPUS_HEADS = (b"\x1f\x8b", b"{", b"[")
+
+
+def read_shard(path: str | Path) -> "Dataset":
+    """Decode one shard file — a corpus file or a directory's shard.
+
+    Any malformed, truncated or retired-format file raises a single
+    :class:`~repro.collection.dataset.DatasetFormatError` naming
+    ``path``; decoding internals (``BadZipFile``, ``KeyError``, ...)
+    never leak.  A missing path raises plain ``OSError``.
+    """
+    from repro.collection.dataset import DatasetFormatError
+
+    with open(path, "rb") as fh:
+        if fh.read(64).lstrip().startswith(_JSON_CORPUS_HEADS):
+            raise DatasetFormatError(
+                f"{path} is a JSON corpus (format 1-3); those formats are "
+                "no longer read — re-collect the corpus"
+            )
+        fh.seek(0)
+        try:
+            archive = np.load(fh, allow_pickle=False)
+            if not isinstance(archive, np.lib.npyio.NpzFile):
+                raise ValueError("not an npz archive")
+            with archive:
+                return decode_shard({name: archive[name] for name in archive.files})
+        except (
+            ValueError,
+            KeyError,
+            IndexError,
+            EOFError,
+            zlib.error,
+            zipfile.BadZipFile,
+        ) as exc:
+            raise DatasetFormatError(f"corrupt corpus file {path}: {exc}") from exc
+
+
 # ----------------------------------------------------------------------
 # Manifest entries
 
@@ -324,9 +378,7 @@ def write_shard(
     root = Path(root)
     name = shard_name(index)
     with telemetry.span("shard.write", shard=name, sessions=len(records)) as sp:
-        buffer = io.BytesIO()
-        np.savez_compressed(buffer, **encode_shard(service, records))
-        raw = buffer.getvalue()
+        raw = shard_bytes(service, records)
         sp.set(bytes=len(raw))
         atomic_write_bytes(root / name, raw)
     label_counts = {
@@ -451,7 +503,7 @@ class ShardedDataset:
     telemetry counters) so cache behaviour is provable in benchmarks.
     """
 
-    #: Format version of this layout (continues the file formats 1-3).
+    #: Format version of this layout (corpus files are format 4 too).
     format = 4
 
     def __init__(
@@ -619,9 +671,8 @@ class ShardedDataset:
         entry = self.entries[index]
         with telemetry.span("shard.load", shard=entry.name) as sp:
             try:
-                with np.load(self._shard_path(index), allow_pickle=False) as z:
-                    dataset = decode_shard({name: z[name] for name in z.files})
-            except (OSError, ValueError, KeyError, zipfile.BadZipFile) as exc:
+                dataset = read_shard(self._shard_path(index))
+            except OSError as exc:
                 raise _format_error(
                     self.root, f"cannot read shard {entry.name}: {exc}"
                 ) from exc

@@ -27,7 +27,6 @@ turns one into an estimator.
 from __future__ import annotations
 
 import shutil
-import sys
 import tempfile
 from pathlib import Path
 from typing import Callable
@@ -36,9 +35,12 @@ import numpy as np
 
 from repro.artifacts import CACHE_VERSION, get_store
 from repro.collection.dataset import Dataset, DatasetFormatError
-from repro.collection.harness import CollectionConfig, collect_corpus
+from repro.collection.harness import (
+    CollectionConfig,
+    collect_corpus,
+    resolve_collection_scenario,
+)
 from repro.collection.shards import ShardedDataset
-from repro.net.scenarios import resolve_scenario
 from repro.features.packet_features import extract_ml16_matrix
 from repro.features.tls_features import (
     TEMPORAL_INTERVALS,
@@ -106,7 +108,7 @@ def corpus_size(service: str) -> int:
 class DatasetCodec:
     """Corpora persist through the dataset's own (atomic) format."""
 
-    extension = ".json.gz"
+    extension = ".npz"
     load_errors = (OSError, DatasetFormatError)
 
     def save(self, value: Dataset, path) -> None:
@@ -189,13 +191,6 @@ def dataset_stage(
     return dataset
 
 
-def _legacy_corpus_path(service: str, n_sessions: int, seed: int):
-    """Pre-store cache location: flat (service, size, seed) files."""
-    from repro.artifacts import cache_dir
-
-    return cache_dir() / f"corpus-v{CACHE_VERSION}-{service}-{n_sessions}-{seed}.json.gz"
-
-
 def get_corpus(
     service: str,
     n_sessions: int | None = None,
@@ -206,10 +201,7 @@ def get_corpus(
     """The evaluation corpus for one service — the ``corpus`` stage.
 
     ``n_sessions`` defaults to the paper's (scaled) corpus size and
-    ``seed`` to the service's canonical collection seed.  Corpora
-    cached by earlier versions under the flat ``(service, size, seed)``
-    naming are adopted into the store transparently; an unreadable
-    legacy file is ignored with a one-line warning, never an error.
+    ``seed`` to the service's canonical collection seed.
 
     With ``REPRO_SHARD_SIZE`` set (``config.shard_size``), the stage
     collects through the shard fleet instead and stores a format-4
@@ -231,9 +223,7 @@ def get_corpus(
         n_sessions = corpus_size(service)
     if seed is None:
         seed = _CORPUS_SEEDS[service]
-    sc = resolve_scenario(
-        scenario if scenario is not None else get_config().scenario
-    )
+    sc = resolve_collection_scenario(scenario=scenario)
 
     stage_config = {"service": service, "n_sessions": n_sessions, "seed": seed}
     if not sc.is_identity:
@@ -267,25 +257,12 @@ def get_corpus(
             codec=SHARDED_DATASET_CODEC,
         )
 
-    def build() -> Dataset:
-        legacy = _legacy_corpus_path(service, n_sessions, seed)
-        if sc.is_identity and use_disk_cache and legacy.exists():
-            try:
-                return Dataset.load(legacy)
-            except (OSError, DatasetFormatError) as exc:
-                print(
-                    f"warning: ignoring unreadable legacy corpus cache "
-                    f"{legacy}: {exc}",
-                    file=sys.stderr,
-                )
-        return collect_corpus(
-            service, n_sessions, seed=seed, config=collection_config
-        )
-
     return dataset_stage(
         "corpus",
         stage_config,
-        build,
+        lambda: collect_corpus(
+            service, n_sessions, seed=seed, config=collection_config
+        ),
         use_disk=use_disk_cache,
     )
 

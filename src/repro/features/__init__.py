@@ -11,7 +11,6 @@ Two parallel pipelines mirror the paper's comparison:
   metrics (retransmissions, loss, RTT, throughput).
 """
 
-from repro._deprecation import deprecated_reexports
 from repro.features.packet_features import (
     ML16_FEATURE_NAMES,
     extract_ml16_features,
@@ -27,33 +26,15 @@ from repro.features.tls_features import (
     temporal_feature_names,
 )
 
-# The matrix entry points moved to the stable facade
-# (repro.api.extract_features); importing them from here warns once.
-__getattr__ = deprecated_reexports(
-    __name__,
-    {
-        "extract_tls_matrix": (
-            "repro.features.tls_features",
-            'repro.api.extract_features(kind="tls")',
-        ),
-        "extract_ml16_matrix": (
-            "repro.features.packet_features",
-            'repro.api.extract_features(kind="ml16")',
-        ),
-    },
-)
-
 __all__ = [
     "TLS_FEATURE_NAMES",
     "TEMPORAL_INTERVALS",
     "extract_tls_features",
-    "extract_tls_matrix",
     "extract_tls_table",
     "feature_groups",
     "feature_names",
     "temporal_feature_names",
     "ML16_FEATURE_NAMES",
     "extract_ml16_features",
-    "extract_ml16_matrix",
     "reconstruct_segments",
 ]

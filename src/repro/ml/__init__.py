@@ -15,7 +15,6 @@ All classifiers follow a minimal sklearn-like contract: ``fit(X, y)``,
 folds via :func:`repro.ml.model_selection.clone`.
 """
 
-from repro._deprecation import deprecated_reexports
 from repro.ml.binning import Binner
 from repro.ml.boosting import GradientBoostingClassifier
 from repro.ml.forest import RandomForestClassifier
@@ -39,13 +38,6 @@ from repro.ml.preprocessing import StandardScaler
 from repro.ml.svm import LinearSVC
 from repro.ml.tree import DecisionTreeClassifier, DecisionTreeRegressor
 
-# cross_validate moved to the stable facade; importing it from here
-# still works but warns once.
-__getattr__ = deprecated_reexports(
-    __name__,
-    {"cross_validate": ("repro.ml.model_selection", "repro.api.cross_validate")},
-)
-
 __all__ = [
     "Binner",
     "DecisionTreeClassifier",
@@ -59,7 +51,6 @@ __all__ = [
     "StratifiedKFold",
     "clone",
     "cross_val_predict",
-    "cross_validate",
     "accuracy_score",
     "confusion_matrix",
     "precision_score",

@@ -15,6 +15,7 @@ Two granularities of the same traffic:
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -108,6 +109,10 @@ class TlsTransaction:
     sni: str
 
     def __post_init__(self) -> None:
+        # NaN compares false against everything, so it would slip past
+        # the ordering check below.
+        if not (math.isfinite(self.start) and math.isfinite(self.end)):
+            raise ValueError("transaction start and end must be finite")
         if self.end < self.start:
             raise ValueError("transaction ends before it starts")
         if self.uplink_bytes < 0 or self.downlink_bytes < 0:

@@ -1,4 +1,4 @@
-"""Tests for the stable ``repro.api`` facade and the deprecation shims."""
+"""Tests for the stable ``repro.api`` facade and the package import paths."""
 
 import contextlib
 import inspect
@@ -157,40 +157,9 @@ class TestFacadeBehaviour:
             api.run_experiment("fig99")
 
 
-def _fresh_deprecated_access(module, name):
-    """Trigger the shim for ``name`` as if for the first time."""
-    module.__dict__.pop(name, None)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        first = getattr(module, name)
-        second = getattr(module, name)
-    return first, second, caught
-
-
-SHIMS = [
-    ("repro.collection", "collect_corpus", "repro.collection.harness"),
-    ("repro.features", "extract_tls_matrix", "repro.features.tls_features"),
-    ("repro.features", "extract_ml16_matrix", "repro.features.packet_features"),
-    ("repro.ml", "cross_validate", "repro.ml.model_selection"),
-    ("repro.sessions", "split_sessions", "repro.sessions.boundary"),
-    ("repro.netflow", "extract_flow_matrix", "repro.netflow.features"),
-]
-
-
 class TestDeprecationShims:
-    @pytest.mark.parametrize("package, name, impl", SHIMS)
-    def test_old_import_path_warns_exactly_once(self, package, name, impl):
-        import importlib
-
-        module = importlib.import_module(package)
-        value, again, caught = _fresh_deprecated_access(module, name)
-        assert value is again is getattr(importlib.import_module(impl), name)
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
-        message = str(deprecations[0].message)
-        assert name in message and "repro.api" in message
+    """The warn-once package-level re-exports are gone; what remains is
+    that the deep import paths work silently."""
 
     def test_unknown_attribute_still_raises(self):
         import repro.collection
@@ -261,7 +230,7 @@ class TestTraceTransparency:
     def test_cli_trace_flag_writes_a_validating_trace(self, tmp_path, capsys):
         from repro.cli import main
 
-        corpus = tmp_path / "c.json.gz"
+        corpus = tmp_path / "c.npz"
         trace = tmp_path / "collect.jsonl"
         assert main(["--trace", str(trace), "collect", "--service", "svc3",
                      "-n", "12", "--seed", "1", "-o", str(corpus)]) == 0

@@ -12,7 +12,7 @@ from repro.collection.shards import MANIFEST_NAME
 
 @pytest.fixture(scope="module")
 def mono_path(tmp_path_factory):
-    path = tmp_path_factory.mktemp("cli") / "corpus.json.gz"
+    path = tmp_path_factory.mktemp("cli") / "corpus.npz"
     assert main(["collect", "--service", "svc3", "-n", "9", "--seed", "3",
                  "-o", str(path)]) == 0
     return path
@@ -47,7 +47,7 @@ class TestInfo:
     def test_monolithic(self, mono_path, capsys):
         assert main(["corpus", "info", str(mono_path)]) == 0
         out = capsys.readouterr().out
-        assert "format 3 (monolithic file)" in out
+        assert "format 4 (single-shard file)" in out
         assert "sessions: 9" in out
         assert "combined:" in out
 
@@ -124,3 +124,13 @@ class TestShard:
     def test_requires_output(self, mono_path, capsys):
         assert main(["corpus", "shard", str(mono_path)]) == 2
         assert "-o/--output" in capsys.readouterr().err
+
+
+class TestRetiredFormats:
+    @pytest.mark.parametrize("command", ["evaluate", "stream"])
+    def test_json_corpus_fails_friendly(self, tmp_path, capsys, command):
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps({"format": 3, "sessions": []}))
+        assert main([command, "--corpus", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "re-collect" in err

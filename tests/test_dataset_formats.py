@@ -1,23 +1,32 @@
-"""Corpus file format tests: format-3 round-trips, backwards
-compatibility with formats 1 and 2, and the :class:`DatasetFormatError`
-contract for malformed files."""
+"""Corpus file tests: a corpus file is exactly one format-4 shard.
+
+Round-trips under any file name, the store telemetry, the checked-in
+corpus fixture, and the :class:`DatasetFormatError` contract for
+malformed, truncated and retired (JSON formats 1-3) files."""
 
 import gzip
+import hashlib
+import io
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.collection.dataset import (
-    Dataset,
-    DatasetFormatError,
-    FORMAT_VERSION,
-)
+from repro import telemetry
+from repro.collection.dataset import Dataset, DatasetFormatError
 from repro.collection.harness import collect_corpus
+from repro.collection.shards import shard_bytes
+from repro.features.tls_features import extract_tls_matrix
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-CHECKED_IN_V2 = REPO_ROOT / ".cache" / "corpus-v4-svc3-115-303.json.gz"
+FIXTURE = Path(__file__).resolve().parent / "data" / "corpus-svc3-115-303.npz"
+
+#: SHA-256 of the fixture's 38-feature matrix, computed from the
+#: format-2 cache file it was converted from (svc3, 115 sessions,
+#: seed 303) before the JSON formats were retired.
+FIXTURE_FEATURES_SHA256 = (
+    "96ab9801f48e0c067d3b9899342ef7e96df1273b8dd731880fe9600e8aae1e81"
+)
 
 
 @pytest.fixture(scope="module")
@@ -39,23 +48,34 @@ def assert_datasets_equal(a: Dataset, b: Dataset) -> None:
             np.testing.assert_array_equal(ra.http[key], rb.http[key])
 
 
+def rewrite_members(path: Path, edit) -> None:
+    """Re-save a corpus file after ``edit`` mutated its member dict."""
+    with np.load(path, allow_pickle=False) as z:
+        arrays = {name: z[name] for name in z.files}
+    edit(arrays)
+    buffer = io.BytesIO()
+    np.savez_compressed(buffer, **arrays)
+    path.write_bytes(buffer.getvalue())
+
+
 class TestFormat3Roundtrip:
+    """A saved file is one shard under any name; the loader never
+    dispatches on the suffix (format 3 was JSON until it was retired)."""
+
     def test_plain_json(self, corpus, tmp_path):
         path = tmp_path / "corpus.json"
         corpus.save(path)
-        payload = json.loads(path.read_text())
-        assert payload["format"] == FORMAT_VERSION == 3
-        assert "tls" in payload
-        assert all("tls_transactions" not in s for s in payload["sessions"])
+        assert path.read_bytes() == shard_bytes(corpus.service, corpus.sessions)
         assert_datasets_equal(Dataset.load(path), corpus)
 
     def test_gzipped(self, corpus, tmp_path):
         path = tmp_path / "corpus.json.gz"
         corpus.save(path)
+        assert path.read_bytes()[:2] == b"PK"  # an npz (zip), not gzip
         assert_datasets_equal(Dataset.load(path), corpus)
 
     def test_load_prepopulates_table(self, corpus, tmp_path):
-        path = tmp_path / "corpus.json.gz"
+        path = tmp_path / "corpus.npz"
         corpus.save(path)
         loaded = Dataset.load(path)
         assert loaded._tls_table is not None
@@ -64,62 +84,71 @@ class TestFormat3Roundtrip:
         assert table.sni == corpus.tls_table().sni
 
     def test_session_count_mismatch_rejected(self, corpus, tmp_path):
-        path = tmp_path / "corpus.json"
+        path = tmp_path / "corpus.npz"
         corpus.save(path)
-        payload = json.loads(path.read_text())
-        del payload["sessions"][0]
-        path.write_text(json.dumps(payload))
-        with pytest.raises(DatasetFormatError):
+        rewrite_members(
+            path, lambda a: a.update(http_offsets=a["http_offsets"][:-1])
+        )
+        with pytest.raises(DatasetFormatError, match="cover every session"):
             Dataset.load(path)
+
+    def test_empty_corpus_roundtrip(self, tmp_path):
+        path = tmp_path / "empty.npz"
+        Dataset(service="svc1").save(path)
+        loaded = Dataset.load(path)
+        assert loaded.service == "svc1"
+        assert len(loaded) == 0
+        assert loaded.labels("combined").shape == (0,)
+
+    def test_bytes_written_equals_file_size(self, corpus, tmp_path):
+        path = tmp_path / "corpus.npz"
+        with telemetry.tracing() as tracer:
+            corpus.save(path)
+            Dataset.load(path)
+        assert tracer.counters["dataset.bytes_written"] == path.stat().st_size
+        spans = {e["name"]: e["attrs"] for e in tracer.events}
+        assert spans["dataset.save"]["bytes"] == path.stat().st_size
+        assert spans["dataset.load"]["sessions"] == len(corpus)
+
+    def test_overwrite_is_byte_identical(self, corpus, tmp_path):
+        path = tmp_path / "corpus.npz"
+        corpus.save(path)
+        first = path.read_bytes()
+        Dataset.load(path).save(path)
+        assert path.read_bytes() == first
 
 
 class TestBackwardsCompatibility:
-    def _legacy_payload(self, corpus, version):
-        sessions = [s.to_dict(include_tls=True) for s in corpus.sessions]
-        if version == 1:
-            # Format 1 stored arrays as nested lists and had no
-            # "format" key at all.
-            def listify(obj):
-                if isinstance(obj, dict) and "b64" in obj:
-                    from repro.collection.dataset import _decode_array
+    @pytest.mark.skipif(not FIXTURE.exists(), reason="corpus fixture missing")
+    def test_checked_in_format2_cache(self):
+        """The checked-in fixture (converted from the format-2 cache
+        file once, when the JSON formats were retired) keeps its feature
+        digest and equals a fresh collection byte for byte."""
+        old = Dataset.load(FIXTURE)
+        X, _ = extract_tls_matrix(old)
+        assert hashlib.sha256(X.tobytes()).hexdigest() == FIXTURE_FEATURES_SHA256
+        fresh = collect_corpus("svc3", 115, seed=303)
+        np.testing.assert_array_equal(fresh.labels("combined"), old.labels("combined"))
+        assert FIXTURE.read_bytes() == shard_bytes(fresh.service, fresh.sessions)
 
-                    return _decode_array(obj, np.dtype(obj["dtype"])).tolist()
-                if isinstance(obj, dict):
-                    return {k: listify(v) for k, v in obj.items()}
-                return obj
-
-            return {"service": corpus.service, "sessions": listify(sessions)}
-        return {"format": 2, "service": corpus.service, "sessions": sessions}
-
-    @pytest.mark.parametrize("version", [1, 2])
-    def test_legacy_formats_load(self, corpus, tmp_path, version):
-        path = tmp_path / f"legacy-v{version}.json.gz"
-        raw = json.dumps(self._legacy_payload(corpus, version)).encode()
-        path.write_bytes(gzip.compress(raw))
-        assert_datasets_equal(Dataset.load(path), corpus)
-
-    @pytest.mark.skipif(
-        not CHECKED_IN_V2.exists(), reason="checked-in corpus cache missing"
-    )
-    def test_checked_in_format2_cache(self, tmp_path):
-        """The pre-columnar cache file in .cache/ must keep loading,
-        and re-saving it (as format 3) must preserve every record."""
-        old = Dataset.load(CHECKED_IN_V2)
-        assert json.loads(gzip.decompress(CHECKED_IN_V2.read_bytes()))[
-            "format"
-        ] == 2
-        resaved = tmp_path / "resaved.json.gz"
-        old.save(resaved)
-        assert_datasets_equal(Dataset.load(resaved), old)
+    @pytest.mark.parametrize("gzipped", [False, True])
+    def test_json_corpus_asks_for_recollection(self, tmp_path, gzipped):
+        raw = json.dumps({"format": 3, "service": "svc1", "sessions": []}).encode()
+        path = tmp_path / "old.json"
+        path.write_bytes(gzip.compress(raw) if gzipped else raw)
+        with pytest.raises(DatasetFormatError, match="re-collect") as excinfo:
+            Dataset.load(path)
+        assert str(path) in str(excinfo.value)
+        assert "1-3" in str(excinfo.value)
 
 
 class TestDatasetFormatError:
     """Every corruption mode surfaces as DatasetFormatError naming the
-    path — never a bare KeyError/binascii.Error/gzip internals."""
+    path — never a bare KeyError/BadZipFile/zlib internals."""
 
     @pytest.fixture()
     def saved(self, corpus, tmp_path):
-        path = tmp_path / "corpus.json.gz"
+        path = tmp_path / "corpus.npz"
         corpus.save(path)
         return path
 
@@ -129,42 +158,78 @@ class TestDatasetFormatError:
         assert str(path) in str(excinfo.value)
         return excinfo.value
 
-    def test_truncated_gzip(self, saved):
+    def test_truncated_gzip(self, tmp_path):
+        """A cut-off copy of a retired gzip corpus still fails friendly."""
+        raw = gzip.compress(json.dumps({"format": 3, "sessions": []}).encode())
+        path = tmp_path / "cut.json.gz"
+        path.write_bytes(raw[: len(raw) // 2])
+        self._assert_raises_format_error(path)
+
+    def test_truncated_file(self, saved):
         raw = saved.read_bytes()
         saved.write_bytes(raw[: len(raw) // 2])
         self._assert_raises_format_error(saved)
+
+    def test_garbage_bytes(self, saved):
+        raw = bytearray(saved.read_bytes())
+        mid = len(raw) // 2
+        raw[mid : mid + 64] = b"\xff" * 64
+        saved.write_bytes(bytes(raw))
+        self._assert_raises_format_error(saved)
+
+    def test_not_a_corpus_at_all(self, tmp_path):
+        path = tmp_path / "noise.bin"
+        path.write_bytes(b"garbage")
+        self._assert_raises_format_error(path)
 
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json at all")
         self._assert_raises_format_error(path)
 
-    def test_missing_keys(self, saved, tmp_path):
-        payload = json.loads(gzip.decompress(saved.read_bytes()))
-        del payload["sessions"]
-        path = tmp_path / "nokeys.json"
-        path.write_text(json.dumps(payload))
-        self._assert_raises_format_error(path)
-
-    def test_mangled_base64(self, saved, tmp_path):
-        payload = json.loads(gzip.decompress(saved.read_bytes()))
-        payload["tls"]["start"]["b64"] = "!!!not base64!!!"
-        path = tmp_path / "badb64.json"
-        path.write_text(json.dumps(payload))
-        self._assert_raises_format_error(path)
+    def test_missing_keys(self, saved):
+        rewrite_members(saved, lambda a: a.pop("label_combined"))
+        self._assert_raises_format_error(saved)
 
     def test_unknown_format_version(self, tmp_path):
         path = tmp_path / "future.json"
         path.write_text(json.dumps({"format": 99, "service": "svc1", "sessions": []}))
         err = self._assert_raises_format_error(path)
-        assert "99" in str(err)
+        assert "re-collect" in str(err)
 
     def test_non_dict_payload(self, tmp_path):
         path = tmp_path / "list.json"
         path.write_text("[1, 2, 3]")
         self._assert_raises_format_error(path)
 
+    def test_single_array_is_not_a_corpus(self, tmp_path):
+        path = tmp_path / "array.npy"
+        np.save(path, np.arange(3))
+        self._assert_raises_format_error(path)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_tls_column(self, saved, bad):
+        def poison(arrays):
+            start = arrays["tls_start"].copy()
+            start[1] = bad
+            arrays["tls_start"] = start
+
+        rewrite_members(saved, poison)
+        err = self._assert_raises_format_error(saved)
+        assert "non-finite" in str(err)
+
+    def test_offsets_not_covering_rows(self, saved):
+        def shorten(arrays):
+            offsets = arrays["tls_offsets"].copy()
+            offsets[-1] -= 1
+            arrays["tls_offsets"] = offsets
+
+        rewrite_members(saved, shorten)
+        err = self._assert_raises_format_error(saved)
+        assert "offsets" in str(err)
+
     def test_missing_file_still_oserror(self, tmp_path):
         """A missing file is an I/O problem, not a format problem."""
         with pytest.raises(OSError):
             Dataset.load(tmp_path / "nope.json")
+

@@ -64,35 +64,6 @@ class TestCommon:
         assert len(a) == len(b)
         assert (a.labels("combined") == b.labels("combined")).all()
 
-    def test_legacy_corpus_adopted(self, tmp_path, monkeypatch):
-        """Pre-store (service, size, seed) cache files are adopted into
-        the artifact store instead of triggering a re-collection."""
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        from repro.experiments import common
-
-        ds = collect_corpus("svc3", 4, seed=12)
-        legacy = tmp_path / f"corpus-v{common.CACHE_VERSION}-svc3-4-12.json.gz"
-        ds.save(legacy)
-        monkeypatch.setattr(
-            common,
-            "collect_corpus",
-            lambda *a, **k: pytest.fail("re-collected despite legacy cache"),
-        )
-        adopted = get_corpus("svc3", n_sessions=4, seed=12)
-        assert (adopted.labels("combined") == ds.labels("combined")).all()
-
-    def test_corrupt_legacy_corpus_warns_never_raises(
-        self, tmp_path, monkeypatch, capsys
-    ):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        from repro.experiments import common
-
-        legacy = tmp_path / f"corpus-v{common.CACHE_VERSION}-svc3-4-13.json.gz"
-        legacy.write_bytes(b"definitely not gzip")
-        ds = get_corpus("svc3", n_sessions=4, seed=13)
-        assert len(ds) == 4
-        assert "legacy corpus cache" in capsys.readouterr().err
-
     def test_format_table(self):
         text = format_table(["a", "bb"], [["1", "2"], ["3", "4"]])
         assert "bb" in text

@@ -9,28 +9,24 @@ perturbation of the clean path (a reordered RNG draw, a new serialized
 field, a changed default) fails here with a digest mismatch rather
 than silently invalidating every cached corpus.
 
-Format 3 pins the *plain* ``.json`` bytes (gzip embeds an mtime, so
-``.json.gz`` bytes are not stable); format 4 pins the manifest digest,
-which itself covers every shard's SHA-256.  Both are checked at
-``REPRO_JOBS=1`` and ``4``, extending the worker-count-invariance
-contract to the golden bytes.
+Format 4 pins the manifest digest, which itself covers every shard's
+SHA-256.  A corpus file is exactly one shard, so a file holding the
+first ``SHARD_SIZE`` sessions must hash to the pre-refactor shard-0
+digest.  Both are checked at ``REPRO_JOBS=1`` and ``4``, extending the
+worker-count-invariance contract to the golden bytes.
 """
 
 import hashlib
 
 import pytest
 
+from repro.collection.dataset import Dataset
 from repro.collection.harness import collect_corpus
 
 SERVICE = "svc1"
 N_SESSIONS = 10
 SEED = 7
 SHARD_SIZE = 4
-
-#: sha256 of the format-3 plain-JSON corpus file, pre-refactor.
-GOLDEN_FORMAT3_SHA256 = (
-    "3ba8822872f7bf6983a12ff6edde280185432733adf1f23d734549fe9a23c3d2"
-)
 
 #: Format-4 manifest digest (covers shard count, sizes, and shard
 #: SHA-256s) and the per-shard digest prefixes, pre-refactor.
@@ -42,13 +38,17 @@ GOLDEN_SHARD_PREFIXES = (
 )
 
 
+def _file_digest_prefix(dataset, path) -> str:
+    """SHA-256 prefix of the first shard's sessions saved as one file."""
+    Dataset(dataset.service, dataset.sessions[:SHARD_SIZE]).save(path)
+    return hashlib.sha256(path.read_bytes()).hexdigest()[:16]
+
+
 @pytest.mark.parametrize("n_jobs", [1, 4])
 def test_format3_identity_bytes_match_golden(tmp_path, n_jobs):
     dataset = collect_corpus(SERVICE, N_SESSIONS, seed=SEED, n_jobs=n_jobs)
-    path = tmp_path / "golden.json"
-    dataset.save(path)
-    digest = hashlib.sha256(path.read_bytes()).hexdigest()
-    assert digest == GOLDEN_FORMAT3_SHA256, (
+    digest = _file_digest_prefix(dataset, tmp_path / "golden.npz")
+    assert digest == GOLDEN_SHARD_PREFIXES[0], (
         f"identity corpus bytes changed (jobs={n_jobs}): the refactor "
         "perturbed the clean pipeline"
     )
@@ -83,7 +83,7 @@ def test_explicit_identity_config_matches_default(tmp_path):
         seed=SEED,
         config=CollectionConfig(scenario="identity"),
     )
-    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    a, b = tmp_path / "a.npz", tmp_path / "b.npz"
     default.save(a)
     explicit.save(b)
     assert a.read_bytes() == b.read_bytes()
@@ -102,9 +102,7 @@ def test_explicit_has_workload_matches_golden(tmp_path):
         seed=SEED,
         config=CollectionConfig(workload="has"),
     )
-    path = tmp_path / "explicit.json"
-    explicit.save(path)
-    digest = hashlib.sha256(path.read_bytes()).hexdigest()
-    assert digest == GOLDEN_FORMAT3_SHA256, (
+    digest = _file_digest_prefix(explicit, tmp_path / "explicit.npz")
+    assert digest == GOLDEN_SHARD_PREFIXES[0], (
         "explicit workload='has' perturbed the golden corpus bytes"
     )

@@ -3,12 +3,10 @@
 The contract under test: every parallelized hot path (corpus
 collection, forest fit/predict, boosting rounds, CV folds) produces
 bit-identical results for any worker count, and the plumbing
-(``REPRO_JOBS`` resolution, atomic corpus writes, the format-2 array
-encoding) behaves.
+(``REPRO_JOBS`` resolution, atomic corpus writes, the exact-dtype
+corpus file encoding) behaves.
 """
 
-import gzip
-import json
 import os
 
 import numpy as np
@@ -17,6 +15,7 @@ import pytest
 from repro import parallel
 from repro.collection.dataset import Dataset
 from repro.collection.harness import CollectionConfig, collect_corpus
+from repro.collection.shards import shard_bytes
 from repro.has.services import get_service
 from repro.ml.boosting import GradientBoostingClassifier
 from repro.ml.forest import RandomForestClassifier
@@ -78,16 +77,15 @@ class TestCorpusDeterminism:
         for jobs in (2, 4):
             other = collect_corpus("svc3", 5, seed=11, n_jobs=jobs)
             assert len(other) == len(base)
-            for ra, rb in zip(base, other):
-                assert json.dumps(ra.to_dict()) == json.dumps(rb.to_dict())
+            assert shard_bytes("svc3", other.sessions) == shard_bytes(
+                "svc3", base.sessions
+            )
 
     def test_profile_object_supported(self):
         profile = get_service("svc3")
         a = collect_corpus(profile, 3, seed=2, n_jobs=1)
         b = collect_corpus(profile, 3, seed=2, n_jobs=2)
-        assert json.dumps([s.to_dict() for s in a]) == json.dumps(
-            [s.to_dict() for s in b]
-        )
+        assert shard_bytes("svc3", a.sessions) == shard_bytes("svc3", b.sessions)
 
     def test_zero_sessions(self):
         assert len(collect_corpus("svc3", 0, seed=0, n_jobs=4)) == 0
@@ -181,15 +179,15 @@ class TestTraceMixtureCache:
 class TestAtomicSave:
     def test_no_temp_leftovers_and_overwrite(self, tmp_path):
         ds = collect_corpus("svc3", 2, seed=4, n_jobs=1)
-        path = tmp_path / "corpus.json.gz"
+        path = tmp_path / "corpus.npz"
         ds.save(path)
         ds.save(path)  # overwrite in place
-        assert [p.name for p in tmp_path.iterdir()] == ["corpus.json.gz"]
+        assert [p.name for p in tmp_path.iterdir()] == ["corpus.npz"]
         assert len(Dataset.load(path)) == 2
 
     def test_failed_write_leaves_target_intact(self, tmp_path, monkeypatch):
         ds = collect_corpus("svc3", 2, seed=4, n_jobs=1)
-        path = tmp_path / "corpus.json"
+        path = tmp_path / "corpus.npz"
         ds.save(path)
         before = path.read_bytes()
 
@@ -201,7 +199,7 @@ class TestAtomicSave:
             ds.save(path)
         monkeypatch.undo()
         assert path.read_bytes() == before
-        assert [p.name for p in tmp_path.iterdir()] == ["corpus.json"]
+        assert [p.name for p in tmp_path.iterdir()] == ["corpus.npz"]
 
 
 class TestSerializationFormats:
@@ -210,7 +208,8 @@ class TestSerializationFormats:
         return collect_corpus("svc3", 3, seed=6, n_jobs=1)
 
     def test_format2_roundtrip_bit_identical(self, dataset, tmp_path):
-        path = tmp_path / "v2.json.gz"
+        """Corpus files keep every array's values and dtype exactly."""
+        path = tmp_path / "corpus.npz"
         dataset.save(path)
         loaded = Dataset.load(path)
         for ra, rb in zip(dataset, loaded):
@@ -220,34 +219,4 @@ class TestSerializationFormats:
             for key in ra.http:
                 assert np.array_equal(ra.http[key], rb.http[key])
                 assert ra.http[key].dtype == rb.http[key].dtype
-            assert json.dumps(ra.to_dict()) == json.dumps(rb.to_dict())
-
-    def test_format_version_field_written(self, dataset, tmp_path):
-        path = tmp_path / "v3.json.gz"
-        dataset.save(path)
-        payload = json.loads(gzip.decompress(path.read_bytes()))
-        assert payload["format"] == 3
-        assert isinstance(payload["sessions"][0]["transfers"], dict)
-        # Format 3 hoists TLS transactions into one columnar block.
-        assert "tls" in payload
-        assert "tls_transactions" not in payload["sessions"][0]
-
-    def test_format1_still_loads(self, dataset, tmp_path):
-        """Corpora written before the base64 encoding (nested lists,
-        no format field) must keep loading."""
-        def downgrade(record):
-            d = record.to_dict()
-            d["http"] = {k: v.tolist() for k, v in record.http.items()}
-            d["transfers"] = record.transfers.tolist()
-            d["connections"] = record.connections.tolist()
-            return d
-
-        payload = {
-            "service": dataset.service,
-            "sessions": [downgrade(s) for s in dataset],
-        }
-        path = tmp_path / "v1.json"
-        path.write_bytes(json.dumps(payload).encode())
-        loaded = Dataset.load(path)
-        for ra, rb in zip(dataset, loaded):
-            assert json.dumps(ra.to_dict()) == json.dumps(rb.to_dict())
+            assert shard_bytes("svc3", [ra]) == shard_bytes("svc3", [rb])

@@ -12,6 +12,7 @@ from repro.collection.harness import (
     resolve_collection_scenario,
 )
 from repro.collection.dataset import Dataset
+from repro.collection.shards import encode_shard, shard_bytes
 from repro.net.scenarios import (
     Scenario,
     UnknownScenarioError,
@@ -154,9 +155,9 @@ class TestCollectionIntegration:
         cc = CollectionConfig(scenario="hostile")
         seq = collect_corpus("svc1", 6, seed=3, config=cc, n_jobs=1)
         par = collect_corpus("svc1", 6, seed=3, config=cc, n_jobs=3)
-        assert [r.to_dict() for r in seq.sessions] == [
-            r.to_dict() for r in par.sessions
-        ]
+        assert shard_bytes("svc1", seq.sessions) == shard_bytes(
+            "svc1", par.sessions
+        )
 
     def test_session_trace_records_scenario_and_stats(self):
         ds = collect_corpus(
@@ -177,9 +178,9 @@ class TestCollectionIntegration:
         a = collect_corpus(
             "svc1", 4, seed=11, config=CollectionConfig(scenario="shaped-2mbps")
         )
-        assert [r.to_dict() for r in shaped.sessions] == [
-            r.to_dict() for r in a.sessions
-        ]  # reproducible
+        assert shard_bytes("svc1", shaped.sessions) == shard_bytes(
+            "svc1", a.sessions
+        )  # reproducible
         assert len(identity.sessions) == len(shaped.sessions)
 
 
@@ -190,27 +191,27 @@ class TestRoundTrips:
         )
 
     def test_format3_roundtrip_preserves_scenario_and_policed(self, tmp_path):
+        """A corpus file (one format-4 shard) round-trips impaired data."""
         ds = self.make_policed()
-        path = tmp_path / "policed.json.gz"
+        path = tmp_path / "policed.npz"
         ds.save(path)
         loaded = Dataset.load(path)
         assert loaded.scenario == "policed-512kbps"
         np.testing.assert_array_equal(
             loaded.labels("policed"), ds.labels("policed")
         )
-        assert [r.to_dict() for r in loaded.sessions] == [
-            r.to_dict() for r in ds.sessions
-        ]
+        assert shard_bytes("svc1", loaded.sessions) == shard_bytes(
+            "svc1", ds.sessions
+        )
 
     def test_identity_format3_payload_has_no_new_keys(self, tmp_path):
         # The digest-stability contract: identity corpora serialize
-        # exactly as before the refactor — no scenario key, no policed
-        # label block.
+        # exactly as before the refactor — no scenario member, no
+        # policed label column.
         ds = collect_corpus("svc1", 2, seed=9)
-        for record in ds.sessions:
-            payload = record.to_dict()
-            assert "scenario" not in payload
-            assert "policed" not in payload["labels"]
+        arrays = encode_shard("svc1", ds.sessions)
+        assert "scenario" not in arrays
+        assert "label_policed" not in arrays
 
     def test_format4_roundtrip_preserves_scenario_and_policed(self, tmp_path):
         from repro.collection.shards import ShardedDataset, save_sharded

@@ -1,5 +1,5 @@
-"""Format-4 sharded corpus tests: round-trips, legacy formats, crash
-atomicity, digest verification, and the lazy-access contract."""
+"""Format-4 sharded corpus tests: round-trips, crash atomicity, digest
+verification, and the lazy-access contract."""
 
 import json
 
@@ -124,48 +124,6 @@ class TestLaziness:
         assert sharded.counters["cache_hits"] == 2
         sharded.shard(0)  # evicted by the sweep, re-materializes
         assert sharded.counters["materialized"] == sharded.n_shards + 1
-
-
-class TestLegacyFormats:
-    """Formats 1-3 keep loading after the format-4 introduction."""
-
-    def _legacy_file(self, corpus, version, path):
-        sessions = [s.to_dict(include_tls=True) for s in corpus.sessions]
-        if version == 1:
-            for s in sessions:
-                for key in ("transfers", "connections"):
-                    s[key] = np.asarray(s[key]).tolist()
-            payload = {"service": corpus.service, "sessions": sessions}
-        else:
-            payload = {
-                "format": 2,
-                "service": corpus.service,
-                "n_sessions": len(sessions),
-                "sessions": sessions,
-            }
-        path.write_text(json.dumps(payload))
-
-    @pytest.mark.parametrize("version", [1, 2])
-    def test_formats_1_and_2(self, corpus, tmp_path, version):
-        path = tmp_path / f"v{version}.json"
-        self._legacy_file(corpus, version, path)
-        loaded = Dataset.load(path)
-        assert len(loaded) == len(corpus)
-        for ra, rb in zip(corpus, loaded):
-            assert_records_equal(ra, rb)
-
-    def test_format_3(self, corpus, tmp_path):
-        path = tmp_path / "v3.json.gz"
-        corpus.save(path)
-        loaded = Dataset.load(path)
-        for ra, rb in zip(corpus, loaded):
-            assert_records_equal(ra, rb)
-
-    def test_format_4_in_a_file_is_rejected(self, tmp_path):
-        path = tmp_path / "bogus.json"
-        path.write_text(json.dumps({"format": 4, "sessions": []}))
-        with pytest.raises(DatasetFormatError, match="sharded directory"):
-            Dataset.load(path)
 
 
 class TestCorruption:

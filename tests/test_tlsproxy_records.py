@@ -69,6 +69,23 @@ class TestTlsTransaction:
         with pytest.raises(ValueError):
             make_tls(start=10.0, end=5.0)
 
+    @pytest.mark.parametrize(
+        "start, end",
+        [
+            (np.nan, 10.0),
+            (0.0, np.nan),
+            (np.nan, np.nan),
+            (0.0, np.inf),
+            (-np.inf, 10.0),
+            (np.inf, np.inf),
+        ],
+    )
+    def test_rejects_non_finite_times(self, start, end):
+        # NaN compares false against everything, so only an explicit
+        # finiteness check stops it; inf would open-end the session.
+        with pytest.raises(ValueError, match="finite"):
+            make_tls(start=start, end=end)
+
     def test_rejects_empty_sni(self):
         with pytest.raises(ValueError):
             make_tls(sni="")

@@ -19,6 +19,7 @@ import pytest
 
 import repro.api as api
 from repro.collection.dataset import Dataset
+from repro.collection.shards import encode_shard, shard_bytes
 from repro.collection.harness import (
     CollectionConfig,
     collect_corpus,
@@ -226,17 +227,20 @@ class TestCorpusDeterminismAndFormats:
         for jobs in (2, 4):
             other = collect_corpus("rtc1", 6, seed=11, workload="rtc", n_jobs=jobs)
             assert len(other) == len(base)
-            for ra, rb in zip(base, other):
-                assert json.dumps(ra.to_dict()) == json.dumps(rb.to_dict())
+            assert shard_bytes("rtc1", other.sessions) == shard_bytes(
+                "rtc1", base.sessions
+            )
 
     def test_workload_round_trips_format3(self, tmp_path):
+        """A corpus file (one format-4 shard) keeps the workload tag."""
         ds = collect_corpus("rtc1", 3, seed=5, workload="rtc", n_jobs=1)
-        assert all(r.to_dict()["workload"] == "rtc" for r in ds)
-        path = tmp_path / "rtc.json.gz"
+        assert all(r.workload == "rtc" for r in ds)
+        path = tmp_path / "rtc.npz"
         ds.save(path)
         loaded = Dataset.load(path)
         assert loaded.workload == "rtc"
         assert isinstance(loaded.profile, RtcProfile)
+        assert all(r.workload == "rtc" for r in loaded)
 
     def test_workload_round_trips_format4(self, tmp_path):
         from repro.collection.fleet import collect_corpus_sharded
@@ -257,7 +261,7 @@ class TestCorpusDeterminismAndFormats:
 
         ds = collect_corpus("svc3", 2, seed=1, n_jobs=1)
         assert ds.workload == "has"
-        assert "workload" not in ds.sessions[0].to_dict()
+        assert "workload" not in encode_shard("svc3", ds.sessions)
         collect_corpus_sharded(
             "svc3", 2, tmp_path / "shards", shard_size=2, seed=1, n_jobs=1
         )
@@ -289,23 +293,8 @@ class TestFeaturization:
 
 
 class TestDeprecationShims:
-    @pytest.mark.parametrize("name", ["SERVICES", "ServiceProfile", "get_service"])
-    def test_package_level_has_names_warn(self, name):
-        import importlib
-
-        import repro.has as has_pkg
-
-        has_pkg.__dict__.pop(name, None)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            value = getattr(has_pkg, name)
-        services_mod = importlib.import_module("repro.has.services")
-        assert value is getattr(services_mod, name)
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
-        assert "repro.workloads" in str(deprecations[0].message)
+    """The warn-once ``repro.has`` profile re-exports are gone; the
+    deep import path keeps working silently."""
 
     def test_deep_import_path_does_not_warn(self):
         with warnings.catch_warnings():
