@@ -1,12 +1,13 @@
-"""Corpus-scale feature extraction: per-session loop vs columnar path.
+"""Corpus-scale feature extraction: per-session loop vs one table.
 
-The columnar tentpole replaces a per-session ``extract_tls_features``
-loop (one ``np.vstack`` of S small vectors) with segment reductions
-over one :class:`~repro.tlsproxy.table.TransactionTable`.  This
-benchmark measures both on the same corpus, asserts the outputs are
-bit-identical (the data plane's core contract) and the columnar path
-is at least 3x faster, and reports sessions/sec for each in
-``benchmark.extra_info``.
+Both paths run the one feature kernel: the loop calls
+``extract_tls_features`` once per session (a one-session table each,
+stacked with ``np.vstack``), the columnar path makes one call over a
+:class:`~repro.tlsproxy.table.TransactionTable` for the whole corpus.
+This benchmark measures both on the same corpus, asserts the outputs
+are bit-identical (a session's features do not depend on which
+sessions share its table) and the corpus-wide call is at least 3x
+faster, and reports sessions/sec for each in ``benchmark.extra_info``.
 """
 
 import time
@@ -33,7 +34,7 @@ def _loop_matrix(dataset):
 
 
 def test_bench_tls_extraction(benchmark, svc1_corpus):
-    """TLS feature matrix: reference loop vs segment reductions."""
+    """TLS feature matrix: one-session calls vs one corpus-wide call."""
     n = len(svc1_corpus)
     # Table construction is part of the columnar path's cost; time it
     # separately from the reductions by building a fresh one.

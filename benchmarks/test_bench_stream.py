@@ -8,11 +8,15 @@ streams with deterministic evictions.  Every session is scored through
 a paper-sized (60-tree) hist-trained Random Forest, so the scoring
 floor exercises the flattened batched predictor
 (:class:`repro.ml.tree.FlatEnsemble`) end to end — the old per-row
-walk could not hold this floor.  The floors sit at roughly a quarter
-of the throughput measured on a development container (~30k events/s,
-~2.4k sessions/s scored through the model, p99 micro-batch ~80 ms), so
-they trip on algorithmic regressions — an accidental O(n²) in the
-pending buffer, per-row prediction — not on machine-to-machine noise.
+walk could not hold this floor.  Each scored chunk of sessions is
+featurized by one call to the shared feature kernel; featurizing one
+session at a time (~26k events/s, ~2.2k sessions/s, p99 micro-batch
+86-119 ms on a 2-vCPU Linux VM) cannot hold these floors either.  On
+that VM the chunked kernel measures 93k-122k events/s, 7.7k-10.2k
+sessions/s and a p99 micro-batch of 15-19 ms; the floors sit at 40k
+events/s, 3k sessions/s and 80 ms, so they trip on algorithmic
+regressions — an accidental O(n²) in the pending buffer, per-session
+featurization, per-row prediction — not on machine-to-machine noise.
 """
 
 import time
@@ -25,9 +29,9 @@ from repro.ml.forest import RandomForestClassifier
 from repro.stream.engine import StreamConfig, StreamDetector
 
 # Floors/ceilings (see module docstring for the measured headroom).
-MIN_EVENTS_PER_SEC = 8_000.0
-MIN_SESSIONS_PER_SEC = 800.0
-MAX_P99_BATCH_LATENCY_S = 0.4
+MIN_EVENTS_PER_SEC = 40_000.0
+MIN_SESSIONS_PER_SEC = 3_000.0
+MAX_P99_BATCH_LATENCY_S = 0.08
 MICRO_BATCH = 256
 
 

@@ -386,13 +386,18 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 def _load_transactions(path: str) -> list[TlsTransaction]:
     """Load ``[[start, end, ul, dl, sni], ...]`` rows, with friendly errors.
 
-    Malformed input — unreadable file, invalid JSON, rows of the wrong
-    shape — raises :class:`ValueError` naming the file, which the
+    Malformed input — unreadable file, invalid JSON, ``NaN``/``Infinity``
+    tokens, rows of the wrong shape or with out-of-range numbers —
+    raises :class:`ValueError` naming the file, which the
     ``split``/``stream`` commands turn into an exit-2 message instead of
     a traceback.  An empty list is valid and means "no transactions".
     """
+
+    def reject_constant(token: str):
+        raise ValueError(f"{path}: {token} is not allowed; numbers must be finite")
+
     try:
-        rows = json.loads(Path(path).read_text())
+        rows = json.loads(Path(path).read_text(), parse_constant=reject_constant)
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
@@ -407,9 +412,10 @@ def _load_transactions(path: str) -> list[TlsTransaction]:
             )
             for r in rows
         ]
-    except (TypeError, ValueError, IndexError, KeyError):
+    except (TypeError, ValueError, IndexError, KeyError, OverflowError):
         raise ValueError(
-            f"{path}: each row must be [start, end, uplink, downlink, sni]"
+            f"{path}: each row must be [start, end, uplink, downlink, sni] "
+            "with finite numbers"
         ) from None
 
 

@@ -18,17 +18,20 @@ bytes, downlink bytes) of a session's TLS transactions:
 Rates are in bytes/second and sizes in bytes; tree models are
 scale-invariant and the distance-based models standardize internally.
 
-Two extraction paths produce bit-identical output:
+One kernel computes the features: :func:`extract_tls_table`, segment
+reductions over a :class:`~repro.tlsproxy.table.TransactionTable`, with
+no per-session loop.  Every other entry point is a call into it:
 
-* :func:`extract_tls_features` — the per-session reference
-  implementation (one transaction list in, one vector out).
-* :func:`extract_tls_matrix` — the columnar fast path: one
-  :class:`~repro.tlsproxy.table.TransactionTable` for the whole corpus,
-  every feature computed with segment reductions, no per-session loop.
+* :func:`extract_tls_features` — one session's transaction list, as a
+  one-session table;
+* :func:`extract_tls_matrix` — a whole corpus (or one shard at a time);
+* the flow features (:mod:`repro.netflow.features`) and the stream
+  detector (:mod:`repro.stream.engine`), on tables of their own rows.
 
-Both paths sum with the sequential left-to-right order of
-``np.add.reduceat`` (see :mod:`repro.tlsproxy.table`), which is what
-makes ``np.array_equal`` between them hold exactly.
+Each session's features are reductions over that session's rows only,
+so a session gets the same vector whichever sessions share its table.
+The tests hold the kernel bit-identical to an independent scalar
+per-session oracle.
 """
 
 from __future__ import annotations
@@ -38,13 +41,8 @@ from typing import Sequence
 import numpy as np
 
 from repro import telemetry
-from repro.tlsproxy.records import TlsTransaction, transactions_to_columns
-from repro.tlsproxy.table import (
-    TransactionTable,
-    ordered_sum,
-    segment_min_med_max,
-    segment_sum,
-)
+from repro.tlsproxy.records import TlsTransaction
+from repro.tlsproxy.table import TransactionTable, segment_min_med_max
 
 __all__ = [
     "TEMPORAL_INTERVALS",
@@ -131,13 +129,6 @@ def select_features(
     return np.asarray(X)[:, cols]
 
 
-def _stat_triple(values: np.ndarray) -> tuple[float, float, float]:
-    """(min, median, max); zeros when there are no values."""
-    if values.size == 0:
-        return 0.0, 0.0, 0.0
-    return float(values.min()), float(np.median(values)), float(values.max())
-
-
 def extract_tls_features(
     transactions: Sequence[TlsTransaction],
     intervals: tuple[int, ...] = TEMPORAL_INTERVALS,
@@ -146,64 +137,29 @@ def extract_tls_features(
 
     ``transactions`` is everything the proxy exported for the session;
     order does not matter.  ``intervals`` is the temporal-interval
-    hyperparameter (paper §3); the default is the paper's grid.
-
-    This is the reference implementation the columnar fast path
-    (:func:`extract_tls_matrix`) is held bit-identical to.
+    hyperparameter (paper §3); the default is the paper's grid.  A
+    one-session call into :func:`extract_tls_table`.
     """
     if not transactions:
         raise ValueError("a session needs at least one TLS transaction")
-    starts, ends, uplink, downlink, _ = transactions_to_columns(transactions)
-
-    session_start = float(starts.min())
-    session_end = float(ends.max())
-    ses_dur = max(session_end - session_start, 1e-9)
-    n = len(transactions)
-
-    features = [
-        ordered_sum(downlink) / ses_dur,  # SDR_DL
-        ordered_sum(uplink) / ses_dur,  # SDR_UL
-        ses_dur,  # SES_DUR
-        n / ses_dur,  # TRANS_PER_SEC
-    ]
-
-    durations = ends - starts
-    with np.errstate(divide="ignore", invalid="ignore"):
-        tdr = np.where(durations > 0, downlink / np.maximum(durations, 1e-9), downlink)
-        d2u = np.where(uplink > 0, downlink / np.maximum(uplink, 1e-9), downlink)
-    iat = np.diff(np.sort(starts))
-    for metric in (downlink, uplink, durations, tdr, d2u, iat):
-        features.extend(_stat_triple(np.asarray(metric, dtype=np.float64)))
-
-    # Temporal: pro-rata share of each transaction inside [0, X].
-    rel_start = starts - session_start
-    rel_end = ends - session_start
-    span = np.maximum(rel_end - rel_start, 1e-9)
-    for x in intervals:
-        overlap = np.clip(np.minimum(rel_end, x) - rel_start, 0.0, None)
-        share = np.minimum(overlap / span, 1.0)
-        features.append(ordered_sum(downlink * share))
-        features.append(ordered_sum(uplink * share))
-
-    vector = np.asarray(features, dtype=np.float64)
-    if vector.shape[0] != len(feature_names(intervals)):
-        raise AssertionError("feature vector length drifted from the schema")
-    return vector
+    return extract_tls_table(TransactionTable.from_transactions(transactions), intervals)[0]
 
 
 def extract_tls_table(
     table: TransactionTable,
     intervals: tuple[int, ...] = TEMPORAL_INTERVALS,
 ) -> np.ndarray:
-    """Columnar kernel: the whole corpus's features via segment reductions.
+    """The feature kernel: one row per table session, by segment reductions.
 
-    One row per table session, bit-identical to running
-    :func:`extract_tls_features` on each session's transactions.  No
-    per-session Python loop: every feature is a reduction
-    (``reduceat``/sorted-offset arithmetic) over the flat columns.
+    The only code that computes the features: the per-session API, the
+    corpus matrix, the flow features and the stream detector all call
+    it.  No per-session Python loop — every feature is a reduction
+    (``reduceat``/sorted-offset arithmetic) over the flat columns, and
+    every sum runs within one session's contiguous rows, so a session's
+    row is the same whichever other sessions share the table.
     """
     counts = table.counts
-    if np.any(counts == 0):
+    if not counts.all():
         empty = int(np.flatnonzero(counts == 0)[0])
         raise ValueError(
             f"session {empty} has no TLS transactions; drop empty sessions "
@@ -220,9 +176,31 @@ def extract_tls_table(
     session_end = np.maximum.reduceat(ends, lo)
     ses_dur = np.maximum(session_end - session_start, 1e-9)
 
+    # Every summed feature in one 2-D reduceat, one summand row each:
+    # downlink, uplink, then each transaction's pro-rata share of every
+    # [0, X] interval (downlink and uplink interleaved, in schema
+    # order).  Reducing along the contiguous row axis sums each
+    # session's rows in the order a 1-D reduceat would.  The
+    # (interval, row) share matrix is updated in place: fresh
+    # temporaries at each step double its cost on corpus-sized tables.
+    rel_start = starts - session_start[segment_ids]
+    rel_end = ends - session_start[segment_ids]
+    span = np.maximum(rel_end - rel_start, 1e-9)
+    share = np.minimum(rel_end, np.asarray(intervals, dtype=np.float64)[:, None])
+    share -= rel_start
+    np.clip(share, 0.0, None, out=share)
+    share /= span
+    np.minimum(share, 1.0, out=share)
+    summands = np.empty((2 + 2 * len(intervals), table.n_rows), dtype=np.float64)
+    summands[0] = downlink
+    summands[1] = uplink
+    np.multiply(downlink, share, out=summands[2::2])
+    np.multiply(uplink, share, out=summands[3::2])
+    sums = np.add.reduceat(summands, lo, axis=1)
+
     columns = [
-        segment_sum(downlink, offsets) / ses_dur,  # SDR_DL
-        segment_sum(uplink, offsets) / ses_dur,  # SDR_UL
+        sums[0] / ses_dur,  # SDR_DL
+        sums[1] / ses_dur,  # SDR_UL
         ses_dur,  # SES_DUR
         counts.astype(np.float64) / ses_dur,  # TRANS_PER_SEC
     ]
@@ -232,10 +210,23 @@ def extract_tls_table(
         tdr = np.where(durations > 0, downlink / np.maximum(durations, 1e-9), downlink)
         d2u = np.where(uplink > 0, downlink / np.maximum(uplink, 1e-9), downlink)
 
+    # Min/median/max of the five per-row metrics: sorted by (session,
+    # value), each metric's rows ascend within every session, so the
+    # statistics sit at fixed positions from the offsets — gathered for
+    # all five at once.  The median of an even count is the mean of the
+    # two middle values, numpy's convention.
+    ranked = np.stack(
+        [m[np.lexsort((m, segment_ids))] for m in (downlink, uplink, durations, tdr, d2u)]
+    )
+    middle = (ranked[:, lo + (counts - 1) // 2] + ranked[:, lo + counts // 2]) / 2.0
+    for low, mid, high in zip(ranked[:, lo], middle, ranked[:, offsets[1:] - 1]):
+        columns.extend((low, mid, high))
+
     # IAT: diffs of within-session sorted start times.  Sorting the
     # flat column by (session, start) keeps sessions contiguous, so the
     # per-row diff is valid everywhere except the first row of each
-    # session, which is dropped.
+    # session, which is dropped.  A one-row session has no IAT and gets
+    # zeros.
     sorted_starts = starts[np.lexsort((starts, segment_ids))]
     diffs = sorted_starts[1:] - sorted_starts[:-1]
     keep = np.ones(max(table.n_rows - 1, 0), dtype=bool)
@@ -245,28 +236,9 @@ def extract_tls_table(
     iat_offsets = np.zeros(offsets.shape[0], dtype=np.int64)
     np.cumsum(iat_counts, out=iat_offsets[1:])
     iat_ids = np.repeat(np.arange(table.n_sessions, dtype=np.int64), iat_counts)
+    columns.extend(segment_min_med_max(iat, iat_offsets, iat_ids))
 
-    for metric, m_offsets, m_ids in (
-        (downlink, offsets, segment_ids),
-        (uplink, offsets, segment_ids),
-        (durations, offsets, segment_ids),
-        (tdr, offsets, segment_ids),
-        (d2u, offsets, segment_ids),
-        (iat, iat_offsets, iat_ids),
-    ):
-        columns.extend(segment_min_med_max(metric, m_offsets, m_ids))
-
-    # Temporal: pro-rata share of each transaction inside [0, X].
-    rel_start = starts - session_start[segment_ids]
-    rel_end = ends - session_start[segment_ids]
-    span = np.maximum(rel_end - rel_start, 1e-9)
-    for x in intervals:
-        overlap = np.clip(np.minimum(rel_end, x) - rel_start, 0.0, None)
-        share = np.minimum(overlap / span, 1.0)
-        columns.append(segment_sum(downlink * share, offsets))
-        columns.append(segment_sum(uplink * share, offsets))
-
-    matrix = np.column_stack(columns)
+    matrix = np.column_stack(columns + [sums[2:].T])
     if matrix.shape[1] != len(feature_names(intervals)):
         raise AssertionError("feature matrix width drifted from the schema")
     return matrix
@@ -285,10 +257,10 @@ def extract_tls_matrix(
     *shard at a time* (one slab materialized at once, rows stacked in
     manifest order), bounding peak memory by the shard size.
     Returns ``(X, names)`` with one row per session; ``names`` equals
-    :data:`TLS_FEATURE_NAMES` for the default interval grid.  Output is
-    bit-identical to stacking :func:`extract_tls_features` per session:
-    every feature is a within-session reduction, so chunking cannot
-    change any value.
+    :data:`TLS_FEATURE_NAMES` for the default interval grid.  Output
+    equals stacking :func:`extract_tls_features` per session: every
+    feature is a within-session reduction, so chunking cannot change
+    any value.
     """
     names = feature_names(intervals)
     if not isinstance(dataset, TransactionTable) and hasattr(dataset, "iter_tables"):

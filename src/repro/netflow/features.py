@@ -7,12 +7,13 @@ connections.  Because the active timeout splits long flows, the
 temporal features gain resolution the TLS view lacks; packet counters
 additionally enable a mean-packet-size feature family.
 
-Like the TLS pipeline, extraction is two-path: a per-session reference
-(:func:`extract_flow_features`) and a columnar corpus path
-(:func:`extract_flow_matrix`) that pours every session's flow records
-into one :class:`~repro.tlsproxy.table.TransactionTable` and reuses
-the vectorized TLS kernel plus segment reductions for the packet
-statistics.  The two are bit-identical.
+Like the TLS pipeline, extraction has one kernel.  Both the
+per-session :func:`extract_flow_features` and the corpus
+:func:`extract_flow_matrix` pour flow records into one
+:class:`~repro.tlsproxy.table.TransactionTable` and call the same
+table-level function: the TLS kernel
+(:func:`~repro.features.tls_features.extract_tls_table`) plus segment
+reductions for the packet statistics.
 """
 
 from __future__ import annotations
@@ -23,19 +24,9 @@ import numpy as np
 
 from repro import telemetry
 from repro.collection.dataset import Dataset
-from repro.features.tls_features import (
-    TLS_FEATURE_NAMES,
-    extract_tls_features,
-    extract_tls_table,
-)
+from repro.features.tls_features import TLS_FEATURE_NAMES, extract_tls_table
 from repro.netflow.exporter import ExporterConfig, FlowRecord, export_flows
-from repro.tlsproxy.records import TlsTransaction
-from repro.tlsproxy.table import (
-    TransactionTable,
-    ordered_sum,
-    segment_min_med_max,
-    segment_sum,
-)
+from repro.tlsproxy.table import TransactionTable, segment_min_med_max, segment_sum
 
 __all__ = ["FLOW_FEATURE_NAMES", "extract_flow_features", "extract_flow_matrix"]
 
@@ -48,42 +39,15 @@ FLOW_FEATURE_NAMES: tuple[str, ...] = TLS_FEATURE_NAMES + (
 
 
 def extract_flow_features(flows: Sequence[FlowRecord]) -> np.ndarray:
-    """Feature vector for one session's flow records (reference path)."""
+    """Feature vector for one session's flow records (a one-session
+    call into the kernel :func:`extract_flow_matrix` uses)."""
     if not flows:
         raise ValueError("a session needs at least one flow record")
-    as_transactions = [
-        TlsTransaction(
-            start=f.start,
-            end=f.end,
-            uplink_bytes=f.bytes_up,
-            downlink_bytes=f.bytes_down,
-            sni="flow",
-        )
-        for f in flows
-    ]
-    base = extract_tls_features(as_transactions)
-
-    pkts_down = np.array([f.packets_down for f in flows], dtype=np.float64)
-    pkts_up = np.array([f.packets_up for f in flows], dtype=np.float64)
-    bytes_down = np.array([f.bytes_down for f in flows], dtype=np.float64)
-    bytes_up = np.array([f.bytes_up for f in flows], dtype=np.float64)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        size_down = np.where(pkts_down > 0, bytes_down / np.maximum(pkts_down, 1), 0.0)
-        size_up = np.where(pkts_up > 0, bytes_up / np.maximum(pkts_up, 1), 0.0)
-    session_span = max(f.end for f in flows) - min(f.start for f in flows)
-    extra = np.array(
-        [
-            float(np.median(size_down)),
-            float(np.median(size_up)),
-            (ordered_sum(pkts_down) + ordered_sum(pkts_up))
-            / max(session_span, 1e-9),
-        ]
-    )
-    return np.concatenate([base, extra])
+    return _flow_kernel(*_flow_table([flows]))[0]
 
 
 def _flow_table(
-    per_session: list[list[FlowRecord]],
+    per_session: Sequence[Sequence[FlowRecord]],
 ) -> tuple[TransactionTable, np.ndarray, np.ndarray]:
     """Columns for a corpus's flows: table + packet-count columns."""
     counts = np.fromiter(
@@ -114,6 +78,29 @@ def _flow_table(
     return table, pkts_up, pkts_down
 
 
+def _flow_kernel(
+    table: TransactionTable, pkts_up: np.ndarray, pkts_down: np.ndarray
+) -> np.ndarray:
+    """Flow features of every table session: the TLS kernel plus the
+    packet statistics, by segment reductions."""
+    base = extract_tls_table(table)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        size_down = np.where(pkts_down > 0, table.downlink / np.maximum(pkts_down, 1), 0.0)
+        size_up = np.where(pkts_up > 0, table.uplink / np.maximum(pkts_up, 1), 0.0)
+    offsets = table.offsets
+    segment_ids = table.session_ids
+    _, med_down, _ = segment_min_med_max(size_down, offsets, segment_ids)
+    _, med_up, _ = segment_min_med_max(size_up, offsets, segment_ids)
+    lo = offsets[:-1]
+    session_span = np.maximum.reduceat(table.end, lo) - np.minimum.reduceat(
+        table.start, lo
+    )
+    pkts_per_sec = (
+        segment_sum(pkts_down, offsets) + segment_sum(pkts_up, offsets)
+    ) / np.maximum(session_span, 1e-9)
+    return np.column_stack([base, med_down, med_up, pkts_per_sec])
+
+
 def extract_flow_matrix(
     dataset: Dataset, config: ExporterConfig | None = None
 ) -> tuple[np.ndarray, tuple[str, ...]]:
@@ -121,8 +108,8 @@ def extract_flow_matrix(
 
     Flow export runs per session (it is stateful by nature), but all
     featurization happens columnar: one table for every flow slice in
-    the corpus, segment reductions for the packet statistics.  Output
-    is bit-identical to stacking :func:`extract_flow_features`.
+    the corpus, one kernel call.  Output equals stacking
+    :func:`extract_flow_features`, which runs the same kernel.
 
     A :class:`~repro.collection.shards.ShardedDataset` is reduced shard
     at a time (rows stacked in manifest order) — every feature is a
@@ -145,23 +132,5 @@ def extract_flow_matrix(
             raise ValueError("a session needs at least one flow record")
         table, pkts_up, pkts_down = _flow_table(per_session)
         sp.set(flows=table.n_rows)
-        base = extract_tls_table(table)
-
-        with np.errstate(divide="ignore", invalid="ignore"):
-            size_down = np.where(
-                pkts_down > 0, table.downlink / np.maximum(pkts_down, 1), 0.0
-            )
-            size_up = np.where(pkts_up > 0, table.uplink / np.maximum(pkts_up, 1), 0.0)
-        offsets = table.offsets
-        segment_ids = table.session_ids
-        _, med_down, _ = segment_min_med_max(size_down, offsets, segment_ids)
-        _, med_up, _ = segment_min_med_max(size_up, offsets, segment_ids)
-        lo = offsets[:-1]
-        session_span = np.maximum.reduceat(table.end, lo) - np.minimum.reduceat(
-            table.start, lo
-        )
-        pkts_per_sec = (
-            segment_sum(pkts_down, offsets) + segment_sum(pkts_up, offsets)
-        ) / np.maximum(session_span, 1e-9)
-        X = np.column_stack([base, med_down, med_up, pkts_per_sec])
+        X = _flow_kernel(table, pkts_up, pkts_down)
     return X, FLOW_FEATURE_NAMES

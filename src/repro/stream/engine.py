@@ -16,10 +16,13 @@ stream's watermark (largest start time seen) strictly exceeds
 and decided left to right; the running ``current_servers`` set then
 evolves exactly as in :func:`detect_session_starts`.
 
-**Incremental features.**  Decided transactions flow into the open
-session's :class:`~repro.stream.features.SessionAccumulator`, which
-maintains the temporal/cumulative features per transaction and closes
-the order statistics only when the session ends.
+**One feature kernel.**  An open session keeps nothing but its
+decided ``(start, end, uplink, downlink)`` rows.  Each scored chunk of
+closed sessions becomes one
+:class:`~repro.tlsproxy.table.TransactionTable` and one
+:func:`~repro.features.tls_features.extract_tls_table` call — the
+kernel the batch extractors run — so a session's streamed features
+equal its batch features by construction.
 
 **Deferred release for the undersized-tail rule.**  Batch
 ``split_sessions`` merges a trailing undersized group backwards.  To
@@ -64,12 +67,15 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from repro import telemetry
-from repro.features.tls_features import TEMPORAL_INTERVALS, feature_names
+from repro.features.tls_features import TEMPORAL_INTERVALS, extract_tls_table
 from repro.sessions.boundary import BoundaryConfig
-from repro.stream.features import SessionAccumulator
 from repro.tlsproxy.records import TlsTransaction
+from repro.tlsproxy.table import TransactionTable
 
 __all__ = ["StreamConfig", "StreamDetector", "StreamVerdict"]
+
+#: One decided transaction of an open session: (start, end, uplink, downlink).
+_Row = tuple[float, float, float, float]
 
 
 @dataclass(frozen=True)
@@ -185,8 +191,10 @@ class _StreamState:
         self.decided_any = False
         self.watermark = float("-inf")
         self.last_seen = float("-inf")
-        self.group: SessionAccumulator | None = None
-        self.held: SessionAccumulator | None = None
+        # Decided rows of the open session and of the closed session
+        # held back for the undersized-tail rule.
+        self.group: list[_Row] | None = None
+        self.held: list[_Row] | None = None
         self.n_closed = 0
 
 
@@ -222,14 +230,13 @@ class StreamDetector:
         self._streams: dict[str, _StreamState] = {}
         self._now = float("-inf")
         # Closed sessions awaiting the batched predict loop.
-        self._score_queue: list[tuple[str, int, SessionAccumulator, str, float]] = []
+        self._score_queue: list[tuple[str, int, list[_Row], str, float]] = []
         self._counts = {
             "ingested": 0,
             "scored": 0,
             "evicted": 0,
             "late_dropped": 0,
         }
-        self._feature_width = len(feature_names(self.config.intervals))
 
     # -- public surface -------------------------------------------------
     @property
@@ -400,7 +407,7 @@ class StreamDetector:
         if (
             is_start
             and st.group is not None
-            and st.group.n >= config.min_transactions
+            and len(st.group) >= config.min_transactions
         ):
             # The predecessor can only change again via the trailing
             # undersized-tail merge, so hold it until the new group is
@@ -410,9 +417,9 @@ class StreamDetector:
             st.held = st.group
             st.group = None
         if st.group is None:
-            st.group = SessionAccumulator(config.intervals)
-        st.group.add(entry[0], entry[1], entry[2], entry[3])
-        if st.held is not None and st.group.n >= config.min_transactions:
+            st.group = []
+        st.group.append(entry[:4])
+        if st.held is not None and len(st.group) >= config.min_transactions:
             self._queue_score(st, st.held, reason="boundary")
             st.held = None
 
@@ -422,12 +429,11 @@ class StreamDetector:
         self._drain(st, force=True)
         group, held = st.group, st.held
         st.group = st.held = None
-        if group is not None and group.n > 0:
-            if held is not None and group.n < self.config.min_transactions:
+        if group:
+            if held is not None and len(group) < self.config.min_transactions:
                 # Trailing undersized group merges backwards, exactly
                 # like the batch split_sessions post-filter.
-                for row in group.rows():
-                    held.add(*row)
+                held.extend(group)
                 self._queue_score(st, held, reason=reason)
                 return
             if held is not None:
@@ -465,9 +471,7 @@ class StreamDetector:
         telemetry.count("stream.evicted")
         telemetry.gauge("stream.active", len(self._streams))
 
-    def _queue_score(
-        self, st: _StreamState, group: SessionAccumulator, reason: str
-    ) -> None:
+    def _queue_score(self, st: _StreamState, group: list[_Row], reason: str) -> None:
         self._score_queue.append((st.key, st.n_closed, group, reason, self._now))
         st.n_closed += 1
 
@@ -478,9 +482,11 @@ class StreamDetector:
             chunk = self._score_queue[:batch]
             del self._score_queue[:batch]
             with telemetry.span("stream.score", sessions=len(chunk)):
-                X = np.empty((len(chunk), self._feature_width), dtype=np.float64)
-                for i, (_, _, group, _, _) in enumerate(chunk):
-                    X[i] = group.finalize()
+                table = _rows_table([group for _, _, group, _, _ in chunk])
+                X = extract_tls_table(table, self.config.intervals)
+                lo = table.offsets[:-1]
+                starts = np.minimum.reduceat(table.start, lo).tolist()
+                ends = np.maximum.reduceat(table.end, lo).tolist()
                 categories = (
                     self.model.predict(X) if self.model is not None else None
                 )
@@ -489,9 +495,9 @@ class StreamDetector:
                         StreamVerdict(
                             stream=key,
                             session_index=index,
-                            n_transactions=group.n,
-                            session_start=group.session_start,
-                            session_end=group.session_end,
+                            n_transactions=len(group),
+                            session_start=starts[i],
+                            session_end=ends[i],
                             features=X[i],
                             category=(
                                 int(categories[i]) if categories is not None else None
@@ -501,11 +507,22 @@ class StreamDetector:
                         )
                     )
                     telemetry.observe(
-                        "stream.decision_lag_s",
-                        max(decided_at - group.session_end, 0.0),
+                        "stream.decision_lag_s", max(decided_at - ends[i], 0.0)
                     )
                 self._counts["scored"] += len(chunk)
                 telemetry.count("stream.scored", len(chunk))
+
+
+def _rows_table(groups: Sequence[list[_Row]]) -> TransactionTable:
+    """One table over the decided rows of several sessions, in order."""
+    offsets = np.zeros(len(groups) + 1, dtype=np.int64)
+    np.cumsum([len(group) for group in groups], out=offsets[1:])
+    start, end, uplink, downlink = np.array(
+        [row for group in groups for row in group], dtype=np.float64
+    ).T
+    return TransactionTable(
+        start=start, end=end, uplink=uplink, downlink=downlink, offsets=offsets
+    )
 
 
 def batch_pipeline_verdicts(
@@ -516,12 +533,11 @@ def batch_pipeline_verdicts(
 ) -> dict[str, list[dict]]:
     """The batch pipeline's answer for each stream, for equivalence checks.
 
-    Runs ``split_sessions`` → per-session feature extraction → one
+    Runs ``split_sessions`` → one feature-kernel call and one
     ``model.predict`` per stream over the same transactions a
     :class:`StreamDetector` would ingest, returning per-stream session
     summaries comparable with :class:`StreamVerdict` fields.
     """
-    from repro.features.tls_features import extract_tls_features
     from repro.sessions.boundary import split_sessions
 
     config = config or StreamConfig()
@@ -534,8 +550,8 @@ def batch_pipeline_verdicts(
         )
         sessions = []
         if groups:
-            X = np.stack(
-                [extract_tls_features(g, intervals=config.intervals) for g in groups]
+            X = extract_tls_table(
+                TransactionTable.from_sessions(groups), config.intervals
             )
             categories = model.predict(X) if model is not None else None
             for i, group in enumerate(groups):

@@ -19,7 +19,6 @@ from repro.tlsproxy.records import (
 )
 from repro.tlsproxy.table import (
     TransactionTable,
-    ordered_sum,
     segment_min_med_max,
     segment_sum,
 )
@@ -35,7 +34,6 @@ __all__ = [
     "TlsTransaction",
     "TransactionTable",
     "transactions_to_columns",
-    "ordered_sum",
     "segment_sum",
     "segment_min_med_max",
     "ServiceHostModel",

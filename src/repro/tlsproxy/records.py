@@ -110,11 +110,13 @@ class TlsTransaction:
 
     def __post_init__(self) -> None:
         # NaN compares false against everything, so it would slip past
-        # the ordering check below.
+        # the ordering and sign checks below.
         if not (math.isfinite(self.start) and math.isfinite(self.end)):
             raise ValueError("transaction start and end must be finite")
         if self.end < self.start:
             raise ValueError("transaction ends before it starts")
+        if not (math.isfinite(self.uplink_bytes) and math.isfinite(self.downlink_bytes)):
+            raise ValueError("byte counts must be finite")
         if self.uplink_bytes < 0 or self.downlink_bytes < 0:
             raise ValueError("byte counts must be non-negative")
         if not self.sni:

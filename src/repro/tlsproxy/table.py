@@ -10,14 +10,12 @@ session *offset index*: session ``s`` owns rows
 optional string column for the consumers that need them (boundary
 detection, serialization).
 
-The module also provides the segment-reduction primitives the
-vectorized feature extractors are built from.  Bit-identity between the
-columnar fast path and the per-session reference extractors hinges on
-one contract: **all sums are sequential left-to-right**
-(``np.add.reduceat`` order).  ``np.ndarray.sum`` uses pairwise/SIMD
-summation whose grouping depends on array length and build flags, so it
-cannot be reproduced segment-wise; :func:`ordered_sum` gives scalar
-code the exact summation order :func:`segment_sum` applies per segment.
+The module also provides the segment-reduction primitives the feature
+kernel is built from.  Every sum is an ``np.add.reduceat`` over one
+segment's contiguous rows, so a segment's sum depends only on its own
+values and their order — never on which other segments share the
+array.  (``np.ndarray.sum`` groups partial sums differently and is not
+used for features.)
 """
 
 from __future__ import annotations
@@ -32,25 +30,9 @@ from repro.tlsproxy.records import TlsTransaction, transactions_to_columns
 
 __all__ = [
     "TransactionTable",
-    "ordered_sum",
     "segment_sum",
     "segment_min_med_max",
 ]
-
-_ZERO_OFFSET = np.zeros(1, dtype=np.intp)
-
-
-def ordered_sum(values: np.ndarray) -> float:
-    """Sequential left-to-right sum of a 1-D array.
-
-    This is the summation order :func:`np.add.reduceat` applies to each
-    segment, so per-session reference code using ``ordered_sum`` is
-    bit-identical to corpus-level code using :func:`segment_sum`.
-    """
-    values = np.ascontiguousarray(values, dtype=np.float64)
-    if values.size == 0:
-        return 0.0
-    return float(np.add.reduceat(values, _ZERO_OFFSET)[0])
 
 
 def segment_sum(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:

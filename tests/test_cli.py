@@ -174,6 +174,26 @@ class TestSplitDegenerateInputs:
         err = capsys.readouterr().err
         assert "[start, end, uplink, downlink, sni]" in err
 
+    @pytest.mark.parametrize("command", ["split", "stream"])
+    @pytest.mark.parametrize(
+        "row",
+        [
+            '[[0, 1, Infinity, 10, "a"]]',
+            '[[0, 1, 10, -Infinity, "a"]]',
+            '[[NaN, 1, 10, 10, "a"]]',
+            '[[0, 1, 1e400, 10, "a"]]',
+        ],
+    )
+    def test_non_finite_numbers_are_a_friendly_error(
+        self, tmp_path, capsys, command, row
+    ):
+        path = tmp_path / "inf.json"
+        path.write_text(row)
+        assert main([command, "--transactions", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "finite" in err
+        assert "Traceback" not in err
+
     def test_missing_file_is_a_friendly_error(self, tmp_path, capsys):
         assert main(["split", "--transactions",
                      str(tmp_path / "nope.json")]) == 2

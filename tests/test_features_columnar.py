@@ -1,11 +1,12 @@
-"""Golden equivalence tests: columnar fast path vs per-session reference.
+"""Golden equivalence tests: the feature kernel vs the scalar oracle.
 
-The columnar data plane's core contract is ``np.array_equal`` — not
-approximate closeness — between :func:`extract_tls_matrix` (segment
-reductions over one :class:`TransactionTable`) and the per-session
-reference :func:`extract_tls_features`, across services, interval
-grids, and the flow pipeline; and, by consequence, unchanged fig5 /
-table3 numbers whichever path produced the features.
+The data plane's core contract is ``np.array_equal`` — not approximate
+closeness — between the columnar kernel (segment reductions over one
+:class:`TransactionTable`, reached through :func:`extract_tls_matrix`,
+:func:`extract_tls_features` and the flow extractors) and the scalar
+per-session oracle in :mod:`tests.feature_oracle`, across services,
+interval grids, whole corpora and sessions alone, and the flow
+pipeline; and, by consequence, unchanged fig5 / table3 numbers.
 """
 
 import numpy as np
@@ -25,12 +26,16 @@ from repro.netflow.exporter import export_flows
 from repro.netflow.features import extract_flow_features, extract_flow_matrix
 from repro.tlsproxy.records import TlsTransaction
 from repro.tlsproxy.table import TransactionTable
+from tests import feature_oracle
 
 
 def reference_matrix(dataset, intervals=TEMPORAL_INTERVALS):
-    """The pre-columnar loop path: one reference vector per session."""
+    """The oracle's loop path: one scalar reference vector per session."""
     return np.vstack(
-        [extract_tls_features(s.tls_transactions, intervals) for s in dataset]
+        [
+            feature_oracle.extract_tls_features(s.tls_transactions, intervals)
+            for s in dataset
+        ]
     )
 
 
@@ -52,6 +57,18 @@ class TestTlsGoldenEquivalence:
         assert np.array_equal(X_fast, reference_matrix(corpus, intervals))
         assert len(names) == 4 + 18 + 2 * len(intervals)
 
+    def test_each_session_alone_matches_oracle(self, corpus):
+        """A one-session call gives the session the row it gets in the
+        whole-corpus table."""
+        table = corpus.tls_table()
+        X_fast, _ = extract_tls_matrix(table)
+        for i, session in enumerate(corpus):
+            alone, _ = extract_tls_matrix(table.session(i))
+            assert np.array_equal(alone[0], X_fast[i])
+            assert np.array_equal(
+                extract_tls_features(session.tls_transactions), X_fast[i]
+            )
+
     def test_table_input_equivalent(self, corpus):
         X_from_dataset, _ = extract_tls_matrix(corpus)
         X_from_table, _ = extract_tls_matrix(corpus.tls_table())
@@ -69,7 +86,7 @@ class TestTlsGoldenEquivalence:
         ]
         table = TransactionTable.from_sessions(sessions)
         X_fast, _ = extract_tls_matrix(table)
-        X_ref = np.vstack([extract_tls_features(s) for s in sessions])
+        X_ref = np.vstack([feature_oracle.extract_tls_features(s) for s in sessions])
         assert np.array_equal(X_fast, X_ref)
 
     def test_empty_session_rejected(self):
@@ -84,10 +101,11 @@ class TestTlsGoldenEquivalence:
 class TestFlowGoldenEquivalence:
     def test_bit_identical(self, corpus):
         X_fast, names = extract_flow_matrix(corpus)
-        X_ref = np.vstack(
-            [extract_flow_features(export_flows(r)) for r in corpus]
-        )
+        flows = [export_flows(r) for r in corpus]
+        X_ref = np.vstack([feature_oracle.extract_flow_features(f) for f in flows])
+        X_alone = np.vstack([extract_flow_features(f) for f in flows])
         assert np.array_equal(X_fast, X_ref)
+        assert np.array_equal(X_alone, X_ref)
         assert X_fast.shape == (len(corpus), len(names))
 
 

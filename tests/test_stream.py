@@ -5,9 +5,9 @@ through :class:`~repro.stream.engine.StreamDetector` must emit exactly
 the verdicts of the batch pipeline — same session groups, bit-identical
 feature vectors, same model categories — for every micro-batch size,
 worker count, and service.  The remaining classes cover the pieces that
-make that possible (incremental features, watermark gating, the
-undersized-tail merge) and the operational edges (eviction, late data,
-telemetry reconciliation).
+make that possible (per-session features through the shared kernel,
+watermark gating, the undersized-tail merge) and the operational edges
+(eviction, late data, telemetry reconciliation).
 """
 
 import numpy as np
@@ -16,11 +16,14 @@ import pytest
 import repro.api as api
 from repro import telemetry
 from repro.config import override
-from repro.features.tls_features import extract_tls_features, feature_names
+from repro.features.tls_features import (
+    extract_tls_features,
+    extract_tls_table,
+    feature_names,
+)
 from repro.sessions.boundary import split_sessions, transaction_sort_key
 from repro.sessions.workload import back_to_back_stream
 from repro.stream.engine import StreamConfig, StreamDetector
-from repro.stream.features import SessionAccumulator
 from repro.stream.replay import (
     check_batch_equivalence,
     demo_streams,
@@ -29,6 +32,8 @@ from repro.stream.replay import (
     synthetic_events,
 )
 from repro.tlsproxy.records import TlsTransaction
+from repro.tlsproxy.table import TransactionTable
+from tests.feature_oracle import extract_tls_features as oracle_features
 
 
 def txn(start, sni, end=None, uplink=100, downlink=1000):
@@ -135,54 +140,39 @@ class TestGoldenEquivalence:
 
 
 class TestSessionAccumulator:
+    """An open session accumulates its decided rows; closing it runs
+    the feature kernel over them."""
+
     def _session(self, seed=1):
         stream = back_to_back_stream("svc3", 1, seed=seed)
         return sorted(stream.transactions, key=transaction_sort_key)
 
     def test_finalize_bit_identical_to_batch_extractor(self):
         group = self._session()
-        acc = SessionAccumulator()
-        for t in group:
-            acc.add(t.start, t.end, t.uplink_bytes, t.downlink_bytes)
-        assert np.array_equal(acc.finalize(), extract_tls_features(group))
-
-    def test_finalize_does_not_consume(self):
-        group = self._session(seed=2)
-        acc = SessionAccumulator()
-        for t in group:
-            acc.add(t.start, t.end, t.uplink_bytes, t.downlink_bytes)
-        first = acc.finalize()
-        assert np.array_equal(first, acc.finalize())
-        # Merging more rows afterwards still works (tail-merge path).
-        acc.add(group[-1].end + 1.0, group[-1].end + 2.0, 10.0, 100.0)
-        assert acc.n == len(group) + 1
-
-    def test_snapshot_is_a_live_running_view(self):
-        acc = SessionAccumulator()
-        acc.add(0.0, 2.0, 100.0, 1000.0)
-        view = acc.snapshot()
-        assert view["n_transactions"] == 1.0
-        assert view["SES_DUR"] == pytest.approx(2.0)
-        acc.add(1.0, 10.0, 100.0, 4000.0)
-        grown = acc.snapshot()
-        assert grown["n_transactions"] == 2.0
-        assert grown["SES_DUR"] == pytest.approx(10.0)
-        assert grown["CUM_DL_30s"] == pytest.approx(5000.0)
+        config = StreamConfig(min_transactions=1, score_batch=1)
+        verdicts = replay(
+            StreamDetector(config=config), interleave({"u": group}), micro_batch=1
+        )
+        batch = split_sessions(group, min_transactions=1)
+        assert [v.n_transactions for v in verdicts] == [len(g) for g in batch]
+        for verdict, g in zip(verdicts, batch):
+            assert np.array_equal(verdict.features, oracle_features(g))
 
     def test_vector_matches_schema_width(self):
-        acc = SessionAccumulator()
-        acc.add(0.0, 1.0, 10.0, 100.0)
-        assert acc.finalize().shape == (len(feature_names()),)
-
-    def test_out_of_order_add_rejected(self):
-        acc = SessionAccumulator()
-        acc.add(10.0, 11.0, 10.0, 100.0)
-        with pytest.raises(ValueError, match="canonical time order"):
-            acc.add(9.0, 12.0, 10.0, 100.0)
+        for intervals in ((30, 60), StreamConfig().intervals):
+            detector = StreamDetector(
+                config=StreamConfig(min_transactions=1, intervals=intervals)
+            )
+            detector.ingest("u", txn(0.0, "www"))
+            (verdict,) = detector.flush()
+            assert verdict.features.shape == (len(feature_names(intervals)),)
 
     def test_empty_finalize_rejected(self):
+        empty = TransactionTable(
+            start=[], end=[], uplink=[], downlink=[], offsets=[0, 0]
+        )
         with pytest.raises(ValueError, match="at least one"):
-            SessionAccumulator().finalize()
+            extract_tls_table(empty)
 
 
 class TestStreamConfig:
@@ -234,10 +224,9 @@ class TestEviction:
             out.extend(detector.ingest("u", t))
         out.extend(detector.ingest("other", txn(500.0, "www")))
         (verdict,) = [v for v in out if v.stream == "u"]
-        assert np.array_equal(
-            verdict.features,
-            extract_tls_features(sorted(stream, key=transaction_sort_key)),
-        )
+        ordered = sorted(stream, key=transaction_sort_key)
+        assert np.array_equal(verdict.features, oracle_features(ordered))
+        assert np.array_equal(verdict.features, extract_tls_features(ordered))
 
     def test_reingest_after_eviction_starts_fresh(self):
         detector = StreamDetector(config=self._config())

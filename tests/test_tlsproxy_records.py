@@ -86,6 +86,23 @@ class TestTlsTransaction:
         with pytest.raises(ValueError, match="finite"):
             make_tls(start=start, end=end)
 
+    @pytest.mark.parametrize(
+        "up, down",
+        [
+            (np.nan, 10),
+            (1, np.nan),
+            (np.inf, 10),
+            (1, np.inf),
+            (-np.inf, 10),
+            (1, -np.inf),
+        ],
+    )
+    def test_rejects_non_finite_bytes(self, up, down):
+        # NaN passes the sign check (every comparison with NaN is
+        # false) and would reach the features as a non-finite value.
+        with pytest.raises(ValueError, match="finite"):
+            make_tls(up=up, down=down)
+
     def test_rejects_empty_sni(self):
         with pytest.raises(ValueError):
             make_tls(sni="")

@@ -7,10 +7,10 @@ from repro.tlsproxy.proxy import TransparentProxy
 from repro.tlsproxy.records import TlsTransaction, transactions_to_columns
 from repro.tlsproxy.table import (
     TransactionTable,
-    ordered_sum,
     segment_min_med_max,
     segment_sum,
 )
+from tests.feature_oracle import ordered_sum
 
 
 def txn(start, end, up=10, down=100, sni="edge.cdn.example"):
