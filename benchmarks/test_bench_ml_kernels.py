@@ -3,12 +3,12 @@
 Unlike the experiment benchmarks (which regenerate paper tables), these
 enforce *kernel-level* speedup floors on `repro.ml`'s two hot paths:
 
-- ``tree_method="hist"`` training (corpus-level binning + histogram
-  split finding) must be ≥10x faster than the exact splitter for both
-  the forest and gradient boosting;
+- histogram training (corpus-level binning + histogram split finding)
+  must be ≥10x faster than the exact splitter kept as the oracle in
+  ``tests/tree_oracle.py``, for both the forest and gradient boosting;
 - flattened batched prediction (:class:`repro.ml.tree.FlatEnsemble`)
-  must be ≥20x faster per row than the per-row Python walk the
-  ensembles used to do — while gathering bit-identical leaf values.
+  must be ≥20x faster per row than the oracle's per-row Python walk —
+  while gathering bit-identical leaf values.
 
 The workload is the real table3 corpus bootstrap-resampled to
 deployment scale (fixed shapes, like the stream benchmark — the
@@ -27,6 +27,11 @@ import pytest
 from repro.experiments.common import features_for
 from repro.ml.boosting import GradientBoostingClassifier
 from repro.ml.forest import RandomForestClassifier
+from tests.tree_oracle import (
+    ExactGradientBoostingClassifier,
+    ExactRandomForestClassifier,
+    leaf_values_reference,
+)
 
 MIN_FOREST_FIT_SPEEDUP = 10.0
 MIN_BOOST_FIT_SPEEDUP = 10.0
@@ -66,12 +71,12 @@ def test_bench_hist_forest_fit(benchmark, kernel_workload):
     )
 
     t0 = time.perf_counter()
-    exact = RandomForestClassifier(tree_method="exact", **kw).fit(X, y)
+    exact = ExactRandomForestClassifier(**kw).fit(X, y)
     t_exact = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     hist = benchmark.pedantic(
-        lambda: RandomForestClassifier(tree_method="hist", **kw).fit(X, y),
+        lambda: RandomForestClassifier(**kw).fit(X, y),
         rounds=1,
         iterations=1,
     )
@@ -102,12 +107,12 @@ def test_bench_hist_boosting_fit(benchmark, kernel_workload):
     kw = dict(n_estimators=12, max_depth=4, random_state=0, n_jobs=1)
 
     t0 = time.perf_counter()
-    GradientBoostingClassifier(tree_method="exact", **kw).fit(Xb, yb)
+    ExactGradientBoostingClassifier(**kw).fit(Xb, yb)
     t_exact = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     benchmark.pedantic(
-        lambda: GradientBoostingClassifier(tree_method="hist", **kw).fit(Xb, yb),
+        lambda: GradientBoostingClassifier(**kw).fit(Xb, yb),
         rounds=1,
         iterations=1,
     )
@@ -127,9 +132,7 @@ def test_bench_hist_boosting_fit(benchmark, kernel_workload):
 
 def test_bench_flat_predict(benchmark, kernel_workload):
     X, y = kernel_workload
-    forest = RandomForestClassifier(
-        n_estimators=60, random_state=0, tree_method="hist"
-    ).fit(X[:PREDICT_TRAIN_ROWS], y[:PREDICT_TRAIN_ROWS])
+    forest = RandomForestClassifier(n_estimators=60, random_state=0).fit(X[:PREDICT_TRAIN_ROWS], y[:PREDICT_TRAIN_ROWS])
     Xq = X[-PREDICT_ROWS:]
     flat = forest._flat_ensemble()
     flat.leaf_values(Xq[:500])  # warm the traversal
@@ -137,14 +140,14 @@ def test_bench_flat_predict(benchmark, kernel_workload):
     t_flat, leaf = _best_of(5, lambda: flat.leaf_values(Xq))
     benchmark.pedantic(lambda: forest.predict_proba(Xq), rounds=1, iterations=1)
 
-    # Per-row Python walk: the old prediction path, kept as the golden
-    # reference — timed on a slice, compared per row.
+    # Per-row Python walk: the oracle's golden reference — timed on a
+    # slice, compared per row.
     Xr = Xq[:PREDICT_REF_ROWS]
     t_ref, ref = _best_of(
         3,
         lambda: np.stack(
             [
-                forest._align(tree, tree._leaf_values_reference(Xr))
+                forest._align(tree, leaf_values_reference(tree, Xr))
                 for tree in forest.trees_
             ]
         ),
@@ -176,7 +179,6 @@ def test_bench_hist_worker_count_identity(benchmark, kernel_workload):
         for n_jobs in (1, 4):
             f = RandomForestClassifier(
                 n_estimators=8,
-                tree_method="hist",
                 random_state=0,
                 n_jobs=n_jobs,
             ).fit(Xf, yf)

@@ -37,17 +37,15 @@ MICRO_BATCH = 256
 
 @pytest.fixture(scope="module")
 def stream_model():
-    """A paper-sized (60-tree) hist forest over the stream's 38
-    TLS features, trained on synthetic sessions."""
+    """A paper-sized (60-tree) forest over the stream's 38 TLS
+    features, trained on synthetic sessions."""
     width = len(feature_names(StreamConfig().intervals))
     rng = np.random.default_rng(0)
     X = rng.gamma(2.0, size=(4000, width)) * rng.gamma(1.0, 10.0, size=width)
     y = (X[:, 0] > np.median(X[:, 0])).astype(int) + (
         X[:, 1] > np.median(X[:, 1])
     ).astype(int)
-    return RandomForestClassifier(
-        n_estimators=60, random_state=0, tree_method="hist"
-    ).fit(X, y)
+    return RandomForestClassifier(n_estimators=60, random_state=0).fit(X, y)
 
 
 def _run_replay(events, model):

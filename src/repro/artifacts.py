@@ -67,8 +67,10 @@ __all__ = [
 #: Global cache-invalidation knob: participates in every fingerprint.
 #: Bump when simulator, feature, or model semantics change so that
 #: every stale artifact misses.  v4: per-session ``SeedSequence.spawn``
-#: RNG streams (parallel collection).
-CACHE_VERSION = 4
+#: RNG streams (parallel collection).  v5: every tree grows by
+#: histogram split finding, so stored CV predictions, transfer
+#: predictions and importances from the exact splitter are stale.
+CACHE_VERSION = 5
 
 def cache_dir() -> Path:
     """The configured cache root (not created until first write).

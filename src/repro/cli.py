@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import pickle
 import sys
 from contextlib import ExitStack
@@ -387,10 +388,12 @@ def _load_transactions(path: str) -> list[TlsTransaction]:
     """Load ``[[start, end, ul, dl, sni], ...]`` rows, with friendly errors.
 
     Malformed input — unreadable file, invalid JSON, ``NaN``/``Infinity``
-    tokens, rows of the wrong shape or with out-of-range numbers —
-    raises :class:`ValueError` naming the file, which the
-    ``split``/``stream`` commands turn into an exit-2 message instead of
-    a traceback.  An empty list is valid and means "no transactions".
+    tokens, rows of the wrong shape, cells that are not JSON numbers
+    (``"12"``, ``true``), out-of-range numbers, or byte counts that are
+    not whole numbers (``1.5``) — raises :class:`ValueError` naming the
+    file and row, which the ``split``/``stream`` commands turn into an
+    exit-2 message instead of a traceback.  Nothing is coerced.  An
+    empty list is valid and means "no transactions".
     """
 
     def reject_constant(token: str):
@@ -404,19 +407,40 @@ def _load_transactions(path: str) -> list[TlsTransaction]:
         raise ValueError(f"{path} is not valid JSON: {exc}") from None
     if not isinstance(rows, list):
         raise ValueError(f"{path}: expected a JSON array of transaction rows")
-    try:
-        return [
-            TlsTransaction(
-                start=float(r[0]), end=float(r[1]), uplink_bytes=int(r[2]),
-                downlink_bytes=int(r[3]), sni=r[4],
+
+    def number(value, field: str, whole: bool = False) -> float | int:
+        # bool is an int subclass; JSON true/false are not numbers here.
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ValueError(f"{field} {value!r} is not a number")
+        if not math.isfinite(value):
+            raise ValueError(f"{field} {value!r} is not finite")
+        if whole and not float(value).is_integer():
+            raise ValueError(f"{field} {value!r} is not a whole number of bytes")
+        return int(value) if whole else float(value)
+
+    transactions = []
+    for i, r in enumerate(rows):
+        try:
+            if not isinstance(r, list) or len(r) != 5:
+                raise ValueError("wrong shape")
+            if not isinstance(r[4], str):
+                raise ValueError(f"sni {r[4]!r} is not a string")
+            transactions.append(
+                TlsTransaction(
+                    start=number(r[0], "start"),
+                    end=number(r[1], "end"),
+                    uplink_bytes=number(r[2], "uplink", whole=True),
+                    downlink_bytes=number(r[3], "downlink", whole=True),
+                    sni=r[4],
+                )
             )
-            for r in rows
-        ]
-    except (TypeError, ValueError, IndexError, KeyError, OverflowError):
-        raise ValueError(
-            f"{path}: each row must be [start, end, uplink, downlink, sni] "
-            "with finite numbers"
-        ) from None
+        except (ValueError, OverflowError) as exc:
+            raise ValueError(
+                f"{path}: row {i}: {exc}; each row must be "
+                "[start, end, uplink, downlink, sni] with finite numbers "
+                "and whole byte counts"
+            ) from None
+    return transactions
 
 
 def _cmd_split(args: argparse.Namespace) -> int:

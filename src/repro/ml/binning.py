@@ -2,17 +2,17 @@
 
 :class:`Binner` maps each feature column to small integer bin codes
 (``uint8``, at most 256 bins) using quantile cut points chosen from the
-*observed* values.  Trees grown in ``tree_method="hist"`` mode bin the
-corpus once and then find splits by accumulating per-bin histograms
-instead of re-sorting every node — the LightGBM trick.
+*observed* values.  The tree ensembles bin the corpus once and then
+find splits by accumulating per-bin histograms instead of re-sorting
+every node — the LightGBM trick.
 
 The cut points are actual data values (not interpolated midpoints), so
 a split "code <= b" is exactly "x <= upper_bounds_[f][b]" on the raw
-scale.  Fitted hist trees therefore store ordinary real-valued
-thresholds and predict on raw feature matrices, interchangeable with
-exact-mode trees.  NaN and values above the last cut share the top bin,
-which routes right at every split below it — the same path an exact
-tree sends NaN down (``NaN <= t`` is false).
+scale.  Fitted trees therefore store ordinary real-valued
+thresholds and predict on raw feature matrices without the binner.
+NaN and values above the last cut share the top bin, which routes
+right at every split below it — the same path prediction sends NaN
+down (``NaN <= t`` is false).
 """
 
 from __future__ import annotations
@@ -30,7 +30,8 @@ class Binner:
     max_bins:
         Upper bound on bins per feature (2..256).  Features with fewer
         distinct values get one bin per value, which makes binning
-        lossless there — the basis of the exact-vs-hist golden tests.
+        lossless there — the basis of the hist-vs-exact-oracle golden
+        tests.
 
     Attributes
     ----------
@@ -67,8 +68,8 @@ class Binner:
                 cuts = values[:-1] if values.shape[0] > 1 else values[:0]
             else:
                 # Quantile cuts picked from the data values themselves
-                # so thresholds stay observed values (mirroring the
-                # exact splitter's "lower boundary with <=" rule).
+                # so thresholds stay observed values (the "lower
+                # boundary with <=" rule of the exact oracle splitter).
                 cum = np.cumsum(counts)
                 targets = cum[-1] * np.arange(1, self.max_bins) / self.max_bins
                 idx = np.searchsorted(cum, targets, side="left")
@@ -96,7 +97,7 @@ class Binner:
             col = X[:, f]
             c = np.searchsorted(cuts, col, side="left")
             # NaN and overflow both land in the top bin, which routes
-            # right at every split — matching exact-mode NaN handling.
+            # right at every split — matching NaN routing at predict.
             c[np.isnan(col)] = cuts.shape[0]
             codes[:, f] = c
         return codes

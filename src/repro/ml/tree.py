@@ -1,37 +1,28 @@
-"""CART decision trees.
+"""CART decision trees grown by histogram split finding.
 
-Two split-finding strategies share the machinery, selected by
-``tree_method``:
-
-``"exact"`` (the default and golden reference)
-    At each node every candidate feature is sorted once and all
-    thresholds are evaluated in one cumulative-sum pass.
-
-``"hist"``
-    Features are quantized once per corpus into ``uint8`` bin codes
-    (:class:`repro.ml.binning.Binner`); each node accumulates per-bin
-    class/gradient histograms with one ``np.bincount`` and scores every
-    boundary of every candidate feature from the cumulative histogram
-    in a single set of array ops.  When all features are candidates
-    (``max_features=None``, the boosting configuration) each child's
-    histogram is derived by scanning only the *smaller* sibling and
-    subtracting it from the parent's — the LightGBM recipe; with
-    per-split feature subsampling each node instead scans just its few
-    candidate columns, which is cheaper than maintaining full-width
-    histograms for subtraction.  On pre-binned data (every
-    distinct value its own bin) hist reproduces the exact splitter's
-    trees node for node; on raw data the two methods differ only by the
-    quantization of candidate thresholds (bounded accuracy deltas,
-    asserted by the golden-equivalence suite).
+Features are quantized into ``uint8`` bin codes
+(:class:`repro.ml.binning.Binner`) — once per corpus for the ensembles
+(:meth:`fit_binned`), once per fit for a standalone tree — and each node
+accumulates per-bin class/gradient histograms with one ``np.bincount``
+and scores every boundary of every candidate feature from the
+cumulative histogram in a single set of array ops.  When all features
+are candidates (``max_features=None``, the boosting configuration) each
+child's histogram is derived by scanning only the *smaller* sibling and
+subtracting it from the parent's — the LightGBM recipe; with per-split
+feature subsampling each node instead scans just its few candidate
+columns, which is cheaper than maintaining full-width histograms for
+subtraction.  On finite pre-binned data (every distinct value its own bin)
+the trees are node for node those of the exact sort-per-node splitter,
+which ``tests/tree_oracle.py`` keeps as the reference; on raw data the
+two differ only by the quantization of candidate thresholds.
 
 Fitted trees are stored as a flattened node table — ``feature_``,
 ``threshold_``, ``left_``, ``right_``, ``value_`` parallel arrays with
 ``feature_ < 0`` marking leaves — so prediction routes all rows through
 the tree level by level as pure array ops (no per-row recursion), and
 :class:`FlatEnsemble` can stack many trees into one table and route all
-rows through all trees at once.  Hist-grown trees store real-valued
-thresholds (the bin upper bounds, which are observed data values), so
-the two methods produce interchangeable node tables and prediction
+rows through all trees at once.  Trees store real-valued thresholds
+(the bin upper bounds, which are observed data values), so prediction
 never needs the binner.
 
 :class:`DecisionTreeClassifier` minimizes Gini impurity;
@@ -47,8 +38,6 @@ from repro.ml.binning import Binner
 from repro.ml.validation import as_2d_float, check_n_features
 
 __all__ = ["DecisionTreeClassifier", "DecisionTreeRegressor", "FlatEnsemble"]
-
-_TREE_METHODS = ("exact", "hist")
 
 
 class FlatEnsemble:
@@ -168,7 +157,6 @@ class _BaseTree:
         min_samples_leaf: int = 1,
         max_features: int | str | None = None,
         random_state: int | None = None,
-        tree_method: str = "exact",
     ):
         if max_depth is not None and max_depth < 1:
             raise ValueError("max_depth must be >= 1")
@@ -176,16 +164,11 @@ class _BaseTree:
             raise ValueError("min_samples_split must be >= 2")
         if min_samples_leaf < 1:
             raise ValueError("min_samples_leaf must be >= 1")
-        if tree_method not in _TREE_METHODS:
-            raise ValueError(
-                f"tree_method must be one of {_TREE_METHODS}, got {tree_method!r}"
-            )
         self.max_depth = max_depth
         self.min_samples_split = min_samples_split
         self.min_samples_leaf = min_samples_leaf
         self.max_features = max_features
         self.random_state = random_state
-        self.tree_method = tree_method
         self.n_features_: int | None = None
         self.feature_importances_: np.ndarray | None = None
         # Flattened node table (parallel arrays; feature_ < 0 = leaf).
@@ -202,16 +185,6 @@ class _BaseTree:
         raise NotImplementedError
 
     def _node_impurity(self, y: np.ndarray) -> float:
-        raise NotImplementedError
-
-    def _split_impurities(
-        self, y_sorted: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Impurity of the left/right children for every split point.
-
-        Split point ``i`` puts ``y_sorted[: i + 1]`` left; arrays have
-        length ``n - 1``.
-        """
         raise NotImplementedError
 
     def _hist_prepare(self, codes: np.ndarray, y: np.ndarray) -> None:
@@ -242,8 +215,9 @@ class _BaseTree:
         Scores are computed only at *valid* boundaries (occupied bin,
         both children at least ``min_leaf``), gathered in feature-major
         ascending-bin order — the same order, the same first-minimum
-        tie-break, and the same float expressions as the exact
-        splitter, so identical counts give identical choices."""
+        tie-break, and the same float expressions as the exact oracle
+        splitter (``tests/tree_oracle.py``), so identical counts give
+        identical choices."""
         raise NotImplementedError
 
     # -- node table ------------------------------------------------------
@@ -295,83 +269,6 @@ class _BaseTree:
             return rng.choice(n_features, size=mtry, replace=False)
         return np.arange(n_features)
 
-    # -- exact split search ----------------------------------------------
-    def _best_split(
-        self, X: np.ndarray, y: np.ndarray, rng: np.random.Generator
-    ) -> tuple[int, float, np.ndarray] | None:
-        """Best (feature, threshold, left-mask) at this node, or None."""
-        n = X.shape[0]
-        features = self._candidate_features(X.shape[1], rng)
-        best = None
-        best_score = np.inf
-        min_leaf = self.min_samples_leaf
-        for f in features:
-            order = np.argsort(X[:, f], kind="stable")
-            x_sorted = X[order, f]
-            y_sorted = y[order]
-            # Valid split points: value changes and both children large
-            # enough.
-            valid = x_sorted[:-1] < x_sorted[1:]
-            if min_leaf > 1:
-                valid = valid.copy()
-                valid[: min_leaf - 1] = False
-                valid[len(valid) - (min_leaf - 1):] = False
-            if not valid.any():
-                continue
-            imp_left, imp_right = self._split_impurities(y_sorted)
-            n_left = np.arange(1, n)
-            n_right = n - n_left
-            weighted = (n_left * imp_left + n_right * imp_right) / n
-            weighted = np.where(valid, weighted, np.inf)
-            idx = int(np.argmin(weighted))
-            if weighted[idx] < best_score:
-                best_score = weighted[idx]
-                # Split at the lower boundary value with <=: the
-                # midpoint of two adjacent floats can round up to the
-                # higher one, which would leave the right child empty.
-                best = (int(f), float(x_sorted[idx]), best_score)
-
-        if best is None:
-            return None
-        f, threshold, _ = best
-        left_mask = X[:, f] <= threshold
-        return f, threshold, left_mask
-
-    def _build(
-        self,
-        X: np.ndarray,
-        y: np.ndarray,
-        depth: int,
-        rng: np.random.Generator,
-        importances: np.ndarray,
-        n_total: int,
-    ) -> int:
-        n = X.shape[0]
-        impurity = self._node_impurity(y)
-        is_leaf = (
-            n < self.min_samples_split
-            or impurity <= 1e-12
-            or (self.max_depth is not None and depth >= self.max_depth)
-        )
-        split = None if is_leaf else self._best_split(X, y, rng)
-        if split is None:
-            return self._append_node(-1, 0.0, self._leaf_value(y))
-
-        f, threshold, left_mask = split
-        n_left = int(left_mask.sum())
-        n_right = n - n_left
-        left_imp = self._node_impurity(y[left_mask])
-        right_imp = self._node_impurity(y[~left_mask])
-        decrease = impurity - (n_left * left_imp + n_right * right_imp) / n
-        importances[f] += decrease * n / n_total
-
-        node_index = self._append_node(f, threshold, self._leaf_value(y))
-        left = self._build(X[left_mask], y[left_mask], depth + 1, rng, importances, n_total)
-        right = self._build(X[~left_mask], y[~left_mask], depth + 1, rng, importances, n_total)
-        self._build_left[node_index] = left
-        self._build_right[node_index] = right
-        return node_index
-
     # -- histogram split search ------------------------------------------
     def _best_split_hist(
         self,
@@ -385,11 +282,11 @@ class _BaseTree:
     ) -> tuple[int, float, np.ndarray] | None:
         """Best (feature, threshold, left-mask) from node histograms.
 
-        Mirrors :meth:`_best_split` exactly — same candidate-feature
+        Mirrors the exact oracle splitter — same candidate-feature
         draw, same boundary ordering (ascending thresholds), same
         first-strict-minimum tie-break across features (the flattened
         argmin returns the first occurrence in feature-major order) —
-        so on pre-binned data the two methods choose identical splits.
+        so on pre-binned data the two choose identical splits.
 
         ``hist`` is the parent-maintained full-feature histogram when
         sibling subtraction is on; otherwise the node scans only its
@@ -492,22 +389,8 @@ class _BaseTree:
             raise ValueError("cannot fit on empty data")
         if y.shape[0] != X.shape[0]:
             raise ValueError("X and y length mismatch")
-        if self.tree_method == "hist":
-            binner = Binner()
-            codes = binner.fit_transform(X)
-            self._grow_hist(codes, y, binner)
-        else:
-            self._grow_exact(X, y)
-
-    def _grow_exact(self, X: np.ndarray, y: np.ndarray) -> None:
-        self.n_features_ = X.shape[1]
-        self._reset_nodes()
-        importances = np.zeros(X.shape[1])
-        rng = np.random.default_rng(self.random_state)
-        self._build(X, y, depth=0, rng=rng, importances=importances, n_total=X.shape[0])
-        self._finalize_nodes()
-        total = importances.sum()
-        self.feature_importances_ = importances / total if total > 0 else importances
+        binner = Binner()
+        self._grow_hist(binner.fit_transform(X), y, binner)
 
     def _grow_hist(self, codes: np.ndarray, y: np.ndarray, binner: Binner) -> None:
         codes = np.asarray(codes, dtype=np.uint8)
@@ -554,8 +437,8 @@ class _BaseTree:
         Same compacted take-based walk as
         :meth:`FlatEnsemble._leaf_values_block`, for a single tree:
         children interleaved as (right, left) pairs so ``x <= t``
-        (False for NaN, matching the exact splitter's NaN-goes-right
-        routing) indexes the pair directly, finished rows dropped from
+        (False for NaN, so NaN routes right, like the binner's top
+        bin) indexes the pair directly, finished rows dropped from
         the cursor arrays each level.
         """
         if self.feature_ is None:
@@ -590,25 +473,6 @@ class _BaseTree:
                 cur.take(idx), row_off.take(idx), pos.take(idx), f.take(idx)
             )
         return self.value_[out]
-
-    def _leaf_values_reference(self, X: np.ndarray) -> np.ndarray:
-        """Per-row python walk — the golden reference the vectorized
-        and stacked traversals are equivalence-tested (and benchmarked)
-        against."""
-        if self.feature_ is None:
-            raise RuntimeError("tree is not fitted")
-        X = as_2d_float(X)
-        check_n_features(self, X)
-        out = np.empty((X.shape[0],) + self.value_.shape[1:])
-        for i in range(X.shape[0]):
-            j = 0
-            while self.feature_[j] >= 0:
-                if X[i, self.feature_[j]] <= self.threshold_[j]:
-                    j = self.left_[j]
-                else:
-                    j = self.right_[j]
-            out[i] = self.value_[j]
-        return out
 
     @property
     def n_nodes(self) -> int:
@@ -645,7 +509,7 @@ class DecisionTreeClassifier(_BaseTree):
     def fit_binned(
         self, codes: np.ndarray, y: np.ndarray, binner: Binner
     ) -> "DecisionTreeClassifier":
-        """Grow in hist mode on pre-computed bin codes.
+        """Grow on pre-computed bin codes.
 
         Ensembles bin the corpus once and fit every tree on (bootstrap
         slices of) the shared codes, so quantization is paid once, not
@@ -654,7 +518,6 @@ class DecisionTreeClassifier(_BaseTree):
         y = np.asarray(y)
         if y.ndim != 1:
             raise ValueError("y must be 1-D")
-        self.tree_method = "hist"
         self.classes_, y_enc = np.unique(y, return_inverse=True)
         self._n_classes = self.classes_.shape[0]
         self._grow_hist(np.asarray(codes), y_enc, binner)
@@ -673,19 +536,6 @@ class DecisionTreeClassifier(_BaseTree):
         counts = np.bincount(y, minlength=self._n_classes)
         p = counts / y.size
         return float(1.0 - np.sum(p * p))
-
-    def _split_impurities(self, y_sorted: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        n = y_sorted.shape[0]
-        onehot = np.zeros((n, self._n_classes))
-        onehot[np.arange(n), y_sorted] = 1.0
-        cum = np.cumsum(onehot, axis=0)
-        left_counts = cum[:-1]
-        right_counts = cum[-1] - left_counts
-        n_left = np.arange(1, n, dtype=np.float64)[:, None]
-        n_right = (n - n_left.ravel())[:, None]
-        gini_left = 1.0 - np.sum((left_counts / n_left) ** 2, axis=1)
-        gini_right = 1.0 - np.sum((right_counts / n_right) ** 2, axis=1)
-        return gini_left, gini_right
 
     def _hist_prepare(self, codes: np.ndarray, y: np.ndarray) -> None:
         B, C = self._hist_B, self._n_classes
@@ -746,7 +596,7 @@ class DecisionTreeClassifier(_BaseTree):
         if nv == 0:
             return None
         # Counts are exact integers in float64, and the score
-        # expressions are the exact splitter's — identical counts give
+        # expressions are the exact oracle's — identical counts give
         # identical scores, which the golden-equivalence tests rely on.
         # Dense nodes score the whole contiguous grid; sparse (deep)
         # nodes gather just the few valid cells.
@@ -803,11 +653,10 @@ class DecisionTreeRegressor(_BaseTree):
     def fit_binned(
         self, codes: np.ndarray, y: np.ndarray, binner: Binner
     ) -> "DecisionTreeRegressor":
-        """Grow in hist mode on pre-computed bin codes."""
+        """Grow on pre-computed bin codes."""
         y = np.asarray(y, dtype=np.float64)
         if y.ndim != 1:
             raise ValueError("y must be 1-D")
-        self.tree_method = "hist"
         self._grow_hist(np.asarray(codes), y, binner)
         return self
 
@@ -819,21 +668,6 @@ class DecisionTreeRegressor(_BaseTree):
         if y.size == 0:
             return 0.0
         return float(np.var(y))
-
-    def _split_impurities(self, y_sorted: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        n = y_sorted.shape[0]
-        cum = np.cumsum(y_sorted)
-        cum2 = np.cumsum(y_sorted**2)
-        n_left = np.arange(1, n, dtype=np.float64)
-        n_right = n - n_left
-        sum_left = cum[:-1]
-        sum_right = cum[-1] - sum_left
-        sum2_left = cum2[:-1]
-        sum2_right = cum2[-1] - sum2_left
-        var_left = sum2_left / n_left - (sum_left / n_left) ** 2
-        var_right = sum2_right / n_right - (sum_right / n_right) ** 2
-        # Numerical noise can push variances a hair below zero.
-        return np.maximum(var_left, 0.0), np.maximum(var_right, 0.0)
 
     def _hist_prepare(self, codes: np.ndarray, y: np.ndarray) -> None:
         self._hist_w = y

@@ -129,6 +129,14 @@ class _TracedTask:
         return result, tracer.export()
 
 
+def _rerun_sequentially(task: Callable, items: list, jobs: int) -> list:
+    """A worker died: drop the broken pool, count the fallback
+    (``parallel.pool_broken``), and run every item in-process."""
+    _EXECUTORS.pop(jobs, None)
+    telemetry.count("parallel.pool_broken")
+    return [task(item) for item in items]
+
+
 def parallel_map(
     fn: Callable[[T], R],
     items: Iterable[T] | Sequence[T],
@@ -164,8 +172,7 @@ def parallel_map(
     try:
         raw = list(executor.map(task, items, chunksize=chunksize))
     except BrokenProcessPool:
-        _EXECUTORS.pop(jobs, None)
-        raw = [task(item) for item in items]
+        raw = _rerun_sequentially(task, items, jobs)
     if tracer is None:
         return raw
     results = []
@@ -214,8 +221,7 @@ def parallel_dispatch(
                 future.result()  # surface worker exceptions eagerly
         raw = [future.result() for future in futures]
     except BrokenProcessPool:
-        _EXECUTORS.pop(jobs, None)
-        raw = [task(item) for item in items]
+        raw = _rerun_sequentially(task, items, jobs)
     if tracer is None:
         return raw
     results = []

@@ -117,6 +117,13 @@ class TlsTransaction:
             raise ValueError("transaction ends before it starts")
         if not (math.isfinite(self.uplink_bytes) and math.isfinite(self.downlink_bytes)):
             raise ValueError("byte counts must be finite")
+        # Whole-valued floats (100.0) stay valid: records materialized
+        # from a table's float columns carry their counts that way.
+        if not (
+            float(self.uplink_bytes).is_integer()
+            and float(self.downlink_bytes).is_integer()
+        ):
+            raise ValueError("byte counts must be whole numbers")
         if self.uplink_bytes < 0 or self.downlink_bytes < 0:
             raise ValueError("byte counts must be non-negative")
         if not self.sni:

@@ -151,6 +151,21 @@ class TestGetOrCompute:
         value, _ = store.get_or_compute("stage", {"a": 1}, lambda: {"v": np.ones(2)})
         np.testing.assert_array_equal(value["v"], [1, 1])
 
+    def test_previous_cache_version_recomputed(self, store, monkeypatch):
+        """An entry stored under the previous CACHE_VERSION (e.g. CV
+        predictions from an older tree splitter, whose model config
+        dict is unchanged) is recomputed, never served."""
+        config = {"model": {"kind": "rf", "n_estimators": 60}}
+        monkeypatch.setattr(artifacts, "CACHE_VERSION", artifacts.CACHE_VERSION - 1)
+        store.get_or_compute("cv-predictions", config, lambda: {"v": np.zeros(2)})
+        monkeypatch.undo()
+        store.clear_memory()
+        value, _ = store.get_or_compute(
+            "cv-predictions", config, lambda: {"v": np.ones(2)}
+        )
+        np.testing.assert_array_equal(value["v"], [1, 1])
+        assert store.counter_snapshot()["hits"] == 0
+
     def test_memory_lru_evicts_oldest(self, tmp_path):
         store = ArtifactStore(root=tmp_path, max_memory_items=2)
         for i in range(3):

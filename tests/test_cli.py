@@ -194,6 +194,33 @@ class TestSplitDegenerateInputs:
         assert "finite" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["split", "stream"])
+    @pytest.mark.parametrize(
+        "row, reason",
+        [
+            ('[[0, 1, 1.5, 10, "a"]]', "not a whole number"),
+            ('[[0, 1, 10, true, "a"]]', "not a number"),
+            ('[[0, 1, "12", 10, "a"]]', "not a number"),
+            ('[["1.5", 2, 10, 10, "a"]]', "not a number"),
+            ('[[0, 1, 10, 10, 7]]', "not a string"),
+        ],
+    )
+    def test_cells_are_not_coerced(self, tmp_path, capsys, command, row, reason):
+        # int()/float() would silently turn 1.5 into 1, true into 1
+        # and "12" into 12; the loader rejects them instead.
+        path = tmp_path / "coerce.json"
+        path.write_text(row)
+        assert main([command, "--transactions", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "row 0" in err and reason in err
+        assert "Traceback" not in err
+
+    def test_whole_valued_float_bytes_accepted(self, tmp_path, capsys):
+        path = tmp_path / "whole.json"
+        path.write_text(json.dumps([[0.0, 1.0, 100.0, 1000.0, "www"]]))
+        assert main(["split", "--transactions", str(path)]) == 0
+        assert "session 1: 1 transactions" in capsys.readouterr().out
+
     def test_missing_file_is_a_friendly_error(self, tmp_path, capsys):
         assert main(["split", "--transactions",
                      str(tmp_path / "nope.json")]) == 2

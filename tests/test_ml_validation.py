@@ -17,10 +17,8 @@ from repro.ml.tree import DecisionTreeClassifier, DecisionTreeRegressor
 
 MODELS = [
     DecisionTreeClassifier(max_depth=3),
-    DecisionTreeClassifier(max_depth=3, tree_method="hist"),
     DecisionTreeRegressor(max_depth=3),
     RandomForestClassifier(n_estimators=3, n_jobs=1),
-    RandomForestClassifier(n_estimators=3, n_jobs=1, tree_method="hist"),
     GradientBoostingClassifier(n_estimators=2, max_depth=2),
     KNeighborsClassifier(n_neighbors=3),
 ]

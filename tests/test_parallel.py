@@ -12,7 +12,7 @@ import os
 import numpy as np
 import pytest
 
-from repro import parallel
+from repro import parallel, telemetry
 from repro.collection.dataset import Dataset
 from repro.collection.harness import CollectionConfig, collect_corpus
 from repro.collection.shards import shard_bytes
@@ -67,6 +67,39 @@ class TestParallelMap:
     def test_empty_and_single(self):
         assert parallel.parallel_map(_square, [], n_jobs=4) == []
         assert parallel.parallel_map(_square, [3], n_jobs=4) == [9]
+
+
+def _square_or_die(item):
+    """Droplist-style fault: the task at index ``kill_at`` kills its
+    own worker — only inside a pool worker, so the sequential rerun in
+    the parent computes it normally."""
+    i, kill_at = item
+    if i == kill_at and parallel._IN_WORKER:
+        os._exit(1)
+    return i * i
+
+
+class TestBrokenPool:
+    """A worker dying mid-fan-out breaks the pool; the fallback reruns
+    every item in-process, gives the clean run's results, and counts
+    itself once as ``parallel.pool_broken``."""
+
+    @pytest.mark.parametrize("fanout", ["parallel_map", "parallel_dispatch"])
+    @pytest.mark.parametrize("kill_at", [0, 5])
+    def test_dead_worker_reruns_and_is_counted(self, fanout, kill_at):
+        run = getattr(parallel, fanout)
+        items = list(range(8))
+        clean = run(_square_or_die, [(i, -1) for i in items], n_jobs=2)
+        assert clean == [i * i for i in items]
+        with telemetry.tracing() as tracer:
+            faulty = run(_square_or_die, [(i, kill_at) for i in items], n_jobs=2)
+        assert faulty == clean
+        assert tracer.counters["parallel.pool_broken"] == 1
+        # The broken pool was dropped: the next fan-out starts a fresh
+        # one and runs clean, with no further fallback.
+        with telemetry.tracing() as tracer:
+            assert run(_square_or_die, [(i, -1) for i in items], n_jobs=2) == clean
+        assert "parallel.pool_broken" not in tracer.counters
 
 
 class TestCorpusDeterminism:

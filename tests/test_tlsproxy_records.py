@@ -103,6 +103,16 @@ class TestTlsTransaction:
         with pytest.raises(ValueError, match="finite"):
             make_tls(up=up, down=down)
 
+    @pytest.mark.parametrize("up, down", [(1.5, 10), (1, 0.25), (1e-9, 10)])
+    def test_rejects_non_integral_bytes(self, up, down):
+        with pytest.raises(ValueError, match="whole"):
+            make_tls(up=up, down=down)
+
+    def test_whole_valued_float_bytes_accepted(self):
+        # Records materialized from a table's float columns.
+        t = make_tls(up=100.0, down=2048.0)
+        assert (t.uplink_bytes, t.downlink_bytes) == (100.0, 2048.0)
+
     def test_rejects_empty_sni(self):
         with pytest.raises(ValueError):
             make_tls(sni="")
