@@ -20,8 +20,5 @@ def test_bench_table4(benchmark, corpora):
         assert r["gain"]["accuracy"] > -0.02, f"{svc}: ML16 lost to TLS"
         assert r["gain"]["recall"] > -0.02, f"{svc}: ML16 lost recall to TLS"
     assert sum(1 for r in result.values() if r["gain"]["recall"] > 0) >= 2
-    # Paper shape 2: the extra accuracy costs far more feature-
-    # extraction compute (60x in the paper).
-    for svc, r in result.items():
-        ratio = r["ml16"]["extract_seconds"] / max(r["tls"]["extract_seconds"], 1e-9)
-        assert ratio > 10, f"{svc}: packet featurization suspiciously cheap"
+    # The compute side of the trade (60x in the paper) is asserted
+    # where it is measured: test_bench_overhead.py.

@@ -113,9 +113,8 @@ def collect_corpus(
     out:
         Target *directory* for out-of-core collection: sessions stream
         to format-4 shards instead of accumulating in memory, and the
-        returned corpus is a lazy
-        :class:`~repro.collection.shards.ShardedDataset`.  Required
-        when ``shard_size`` is given.
+        returned corpus reads its shards from there on demand.
+        Required when ``shard_size`` is given.
     shard_size:
         Sessions per shard for out-of-core collection (default:
         ``REPRO_SHARD_SIZE``, then 512).
@@ -123,8 +122,8 @@ def collect_corpus(
     Returns
     -------
     Dataset
-        The collected corpus, ready for :func:`extract_features`
-        (a lazy ``ShardedDataset`` when ``out`` is given).
+        The collected corpus, ready for :func:`extract_features`: one
+        in-memory shard of records, or the shard directory ``out``.
     """
     if scenario is not None:
         import dataclasses
@@ -204,11 +203,12 @@ def list_workloads() -> "list[dict[str, object]]":
 def load_corpus(path: "str") -> Dataset:
     """Load a stored corpus: a format-4 file or shard directory.
 
-    A corpus file returns a :class:`Dataset`; a shard directory (or
-    its ``manifest.json``) returns a lazy
-    :class:`~repro.collection.shards.ShardedDataset` that reads only
-    the manifest up front.  Malformed corpora raise
-    :class:`~repro.collection.dataset.DatasetFormatError`.
+    Either way the result is a :class:`Dataset`.  A corpus file is one
+    shard, read and checked whole; a shard directory (or its
+    ``manifest.json``) reads only the manifest up front and each shard
+    on demand.  Features and labels come from the shard columns;
+    session records are decoded only when iterated.  Malformed corpora
+    raise :class:`~repro.collection.dataset.DatasetFormatError`.
     """
     return Dataset.load(path)
 

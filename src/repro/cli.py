@@ -37,6 +37,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import pickle
 import sys
 from contextlib import ExitStack
@@ -262,7 +263,7 @@ def _cmd_workload(args: argparse.Namespace) -> int:
 
 
 def _cmd_corpus(args: argparse.Namespace) -> int:
-    from repro.collection.shards import ShardedDataset, save_sharded
+    from repro.collection.shards import save_sharded
 
     try:
         dataset = Dataset.load(args.path)
@@ -270,7 +271,7 @@ def _cmd_corpus(args: argparse.Namespace) -> int:
         print(f"error: cannot read {args.path}: {exc}", file=sys.stderr)
         return 1
 
-    sharded = isinstance(dataset, ShardedDataset)
+    sharded = dataset.root is not None
     if args.action == "info":
         if sharded:
             print(f"{args.path}: format 4 (sharded directory)")
@@ -284,13 +285,11 @@ def _cmd_corpus(args: argparse.Namespace) -> int:
             print(f"{args.path}: format 4 (single-shard file)")
             print(f"  service: {dataset.service}")
             print(f"  sessions: {len(dataset)}")
-        workload = getattr(dataset, "workload", "has")
-        if workload != "has":
-            print(f"  workload: {workload}")
-        scenario = getattr(dataset, "scenario", "identity")
-        if scenario != "identity":
+        if dataset.workload != "has":
+            print(f"  workload: {dataset.workload}")
+        if dataset.scenario != "identity":
             policed = int(dataset.labels("policed").sum())
-            print(f"  scenario: {scenario} ({policed}/{len(dataset)} policed)")
+            print(f"  scenario: {dataset.scenario} ({policed}/{len(dataset)} policed)")
         for target in TARGETS:
             dist = dataset.label_distribution(target)
             print(
@@ -301,8 +300,8 @@ def _cmd_corpus(args: argparse.Namespace) -> int:
 
     if args.action == "verify":
         if not sharded:
-            # Loading a monolithic corpus already decodes every array
-            # and validates the offset index — parsing is the check.
+            # Loading a corpus file already decompresses and checks
+            # every member — parsing is the check.
             print(f"{args.path}: OK ({len(dataset)} sessions parsed)")
             return 0
         result = dataset.verify()
@@ -867,12 +866,21 @@ def main(argv: list[str] | None = None) -> int:
         stack.enter_context(telemetry.maybe_tracing())
         stack.enter_context(telemetry.span("command", command=args.command))
         try:
-            return args.func(args)
+            code = args.func(args)
+            sys.stdout.flush()
+            return code
         except DatasetFormatError as exc:
             # A malformed, truncated or retired-format corpus from any
             # subcommand is a user error, not a crash.
             print(f"error: {exc}", file=sys.stderr)
             return 1
+        except BrokenPipeError:
+            # The reader closed the pipe early (``repro trace report |
+            # head``): stop quietly with the status of a tool killed by
+            # SIGPIPE.  Stdout points at devnull from here on, so the
+            # interpreter's final flush cannot fail a second time.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return 141
 
 
 if __name__ == "__main__":

@@ -8,32 +8,38 @@ metadata, and the ground-truth labels.  Packet traces are *not* stored;
 they are synthesized on demand from the transfer arrays by
 :func:`SessionRecord.packet_trace`.
 
-A corpus file is exactly one format-4 shard: the npz-backed columnar
-block of :func:`repro.collection.shards.encode_shard` (float64 columns
-as raw bytes, so the round-trip is exact to the bit), written by
-:meth:`Dataset.save` and read back by :meth:`Dataset.load` through the
-same reader the shard directories use.  A format-4 *directory* —
-``manifest.json`` plus many such shards, for corpora that must not be
-materialized whole (see :mod:`repro.collection.shards`) — loads as a
-lazy :class:`~repro.collection.shards.ShardedDataset`, and
-:meth:`Dataset.save` with ``shard_size`` writes one.  The JSON corpus
-files of formats 1-3 are no longer read: loading one raises
+A :class:`Dataset` is one service plus an ordered list of format-4
+shards (:mod:`repro.collection.shards`).  A freshly collected corpus is
+one in-memory shard of its records; a corpus file is exactly one shard,
+read whole by :meth:`Dataset.load`; a shard directory is many shards
+plus a manifest, read one shard at a time on demand.  Counting,
+labelling and TLS featurization work from each shard's columns, so the
+detector's path never builds a :class:`SessionRecord`; records are
+decoded only for callers that iterate or index the sessions.  The JSON
+corpus files of formats 1-3 are no longer read: loading one raises
 :class:`DatasetFormatError` asking for a re-collection.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import hashlib
+import zipfile
+from collections import OrderedDict
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from repro import telemetry
-from repro.artifacts import atomic_write_bytes
+from repro.artifacts import atomic_write_bytes, canonical_json
 from repro.collection.shards import (
     MANIFEST_NAME,
-    ShardedDataset,
+    DatasetFormatError,
+    Shard,
+    ShardEntry,
+    format_error,
+    read_manifest,
     read_shard,
     save_sharded,
     shard_bytes,
@@ -42,7 +48,7 @@ from repro.has.player import SessionTrace
 from repro.has.services import ServiceProfile
 from repro.net.packets import PacketTrace, synthesize_packet_trace
 from repro.net.tcp import Transfer
-from repro.qoe.labels import SessionLabels, compute_labels
+from repro.qoe.labels import TARGETS, SessionLabels, compute_labels
 from repro.tlsproxy.records import ResourceType, TlsTransaction
 from repro.tlsproxy.table import TransactionTable
 
@@ -50,9 +56,9 @@ __all__ = ["SessionRecord", "Dataset", "DatasetFormatError"]
 
 _RESOURCE_CODES = {rt: i for i, rt in enumerate(ResourceType)}
 
-
-class DatasetFormatError(RuntimeError):
-    """A corpus file is malformed, truncated, or of an unknown format."""
+#: Shards a shard-directory corpus keeps materialized: the one being
+#: read plus one of lookahead.
+_CACHED_SHARDS = 2
 
 
 #: Columns of the transfer array, in order.
@@ -236,27 +242,31 @@ class SessionRecord:
         return self.http["resource_code"] == _RESOURCE_CODES[resource]
 
 
-@dataclass
 class Dataset:
-    """A corpus of sessions from one service."""
+    """A corpus of sessions from one service: an ordered list of shards.
 
-    service: str
-    sessions: list[SessionRecord] = field(default_factory=list)
-    #: Cached columnar view of every session's TLS transactions,
-    #: invalidated when the session count changes.
-    _tls_table: TransactionTable | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    ``Dataset(service, sessions)`` holds collected records as one
+    in-memory shard; :meth:`load` reads a corpus file (one shard) or a
+    shard directory.  A directory corpus reads only its manifest up
+    front and materializes shards on demand through a two-shard LRU;
+    ``counters`` tallies ``materialized``/``cache_hits`` (mirrored as
+    ``shards.*`` telemetry counters).
+    """
 
-    def __len__(self) -> int:
-        return len(self.sessions)
+    def __init__(self, service: str, sessions: Sequence[SessionRecord] = ()):
+        self.service = service
+        #: The shard directory this corpus reads from (None when its
+        #: shards are resident: collected, or loaded from a file).
+        self.root: Path | None = None
+        #: Manifest rows of a shard directory, in shard order.
+        self.entries: list[ShardEntry] = []
+        self.counters = {"materialized": 0, "cache_hits": 0}
+        self._manifest: dict | None = None
+        self._shards: list[Shard] = []
+        self._cache: OrderedDict[int, Shard] = OrderedDict()
+        self.extend(sessions)
 
-    def __iter__(self) -> Iterator[SessionRecord]:
-        return iter(self.sessions)
-
-    def __getitem__(self, index: int) -> SessionRecord:
-        return self.sessions[index]
-
+    # -- corpus metadata -------------------------------------------------
     @property
     def profile(self) -> ServiceProfile:
         """The profile this corpus was collected on.
@@ -271,106 +281,262 @@ class Dataset:
 
     @property
     def workload(self) -> str:
-        """The workload the corpus was collected under.
-
-        Corpora are collected under exactly one workload, so the first
-        session's record speaks for all (empty corpora are ``has``).
-        """
-        return self.sessions[0].workload if self.sessions else "has"
+        """The workload the corpus was collected under (one per corpus)."""
+        if self._manifest is not None:
+            return str(self._manifest.get("workload", "has"))
+        return self._shards[0].workload if self._shards else "has"
 
     @property
     def scenario(self) -> str:
-        """The network scenario the corpus was collected under.
+        """The network scenario the corpus was collected under (one per corpus)."""
+        if self._manifest is not None:
+            return str(self._manifest.get("scenario", "identity"))
+        return self._shards[0].scenario if self._shards else "identity"
 
-        Corpora are collected under exactly one scenario, so the first
-        session's record speaks for all (empty corpora are identity).
-        """
-        return self.sessions[0].scenario if self.sessions else "identity"
+    @property
+    def shard_size(self) -> int | None:
+        """Sessions per shard of a shard directory (None otherwise)."""
+        return None if self._manifest is None else int(self._manifest["shard_size"])
 
-    def labels(self, target: str) -> np.ndarray:
-        """Ground-truth categories for a target (``combined`` etc.)."""
-        return np.array([s.labels.get(target) for s in self.sessions], dtype=np.int64)
+    @property
+    def manifest_digest(self) -> str | None:
+        """Content address of a shard directory (SHA-256 of the
+        canonical manifest, which itself contains every shard's
+        digest); None for resident corpora.  This is what
+        :mod:`repro.artifacts` fingerprints chain from."""
+        if self._manifest is None:
+            return None
+        return hashlib.sha256(canonical_json(self._manifest).encode()).hexdigest()[:24]
 
-    def label_distribution(self, target: str) -> np.ndarray:
-        """Fraction of sessions per category, ``[low, medium, high]``."""
-        if not self.sessions:
-            return np.zeros(3)
-        counts = np.bincount(self.labels(target), minlength=3)
-        return counts / counts.sum()
+    # -- shards ----------------------------------------------------------
+    @property
+    def n_shards(self) -> int:
+        return len(self.entries) if self.root is not None else len(self._shards)
+
+    def shard(self, index: int) -> Shard:
+        """One shard; a directory's shards are read through the LRU."""
+        if not 0 <= index < self.n_shards:
+            raise IndexError(f"shard index {index} out of range")
+        if self.root is None:
+            return self._shards[index]
+        cached = self._cache.get(index)
+        if cached is not None:
+            self._cache.move_to_end(index)
+            self.counters["cache_hits"] += 1
+            telemetry.count("shards.cache_hit")
+            return cached
+        entry = self.entries[index]
+        with telemetry.span("shard.load", shard=entry.name) as sp:
+            try:
+                shard = read_shard(self.root / entry.name)
+            except OSError as exc:
+                raise format_error(
+                    self.root, f"cannot read shard {entry.name}: {exc}"
+                ) from exc
+            if len(shard) != entry.n_sessions:
+                raise format_error(
+                    self.root,
+                    f"shard {entry.name} holds {len(shard)} sessions, "
+                    f"manifest says {entry.n_sessions}",
+                )
+            sp.set(sessions=len(shard))
+        self.counters["materialized"] += 1
+        telemetry.count("shards.materialized")
+        self._cache[index] = shard
+        while len(self._cache) > _CACHED_SHARDS:
+            self._cache.popitem(last=False)
+        return shard
+
+    def iter_shards(self) -> Iterator[Shard]:
+        """The shards in order, materialized one at a time."""
+        for i in range(self.n_shards):
+            yield self.shard(i)
+
+    def iter_tables(self) -> Iterator[TransactionTable]:
+        """Per-shard transaction tables, for shard-at-a-time reduction."""
+        for shard in self.iter_shards():
+            yield shard.tls_table()
+
+    def drop_caches(self) -> None:
+        """Forget materialized directory shards (benchmarks simulate cold reads)."""
+        self._cache.clear()
+
+    # -- sessions --------------------------------------------------------
+    def _shard_sizes(self) -> list[int]:
+        if self.root is not None:
+            return [e.n_sessions for e in self.entries]
+        return [len(s) for s in self._shards]
+
+    def __len__(self) -> int:
+        return sum(self._shard_sizes())
+
+    def __iter__(self) -> Iterator[SessionRecord]:
+        for shard in self.iter_shards():
+            yield from shard.records()
+
+    def __getitem__(self, index: int) -> SessionRecord:
+        sizes = self._shard_sizes()
+        if index < 0:
+            index += sum(sizes)
+        if not 0 <= index < sum(sizes):
+            raise IndexError(f"session index {index} out of range")
+        for i, size in enumerate(sizes):
+            if index < size:
+                return self.shard(i).records()[index]
+            index -= size
+
+    @property
+    def sessions(self) -> list[SessionRecord]:
+        """Every session as a record (decodes every shard)."""
+        return list(self)
 
     def extend(self, records: Sequence[SessionRecord]) -> None:
-        """Append records, enforcing service consistency."""
+        """Append collected records as a new in-memory shard.
+
+        Records must come from this corpus's service; a shard directory
+        is written once and cannot be extended.
+        """
+        records = list(records)
         for record in records:
             if record.service != self.service:
                 raise ValueError(
                     f"record from {record.service!r} cannot join {self.service!r} dataset"
                 )
-            self.sessions.append(record)
-        self._tls_table = None
+        if not records:
+            return
+        if self.root is not None:
+            raise ValueError("a shard-directory corpus cannot be extended")
+        first = records[0]
+        self._shards.append(
+            Shard(self.service, first.scenario, first.workload, records=records)
+        )
+
+    # -- columns ---------------------------------------------------------
+    def labels(self, target: str) -> np.ndarray:
+        """Ground-truth categories for a target (``combined`` etc.).
+
+        Read from the label columns.  A directory shard that is not
+        materialized has only its ``label_<target>`` member read; the
+        ``policed`` member is optional on disk (clean shards omit it),
+        so its absence reads as all-zeros.
+        """
+        if target not in TARGETS and target != "policed":
+            raise ValueError(
+                f"unknown target {target!r}; expected one of "
+                f"{TARGETS + ('policed',)}"
+            )
+        parts = [self._shard_labels(i, target) for i in range(self.n_shards)]
+        if not parts:
+            return np.empty(0, dtype=np.int64)
+        return np.concatenate(parts)
+
+    def _shard_labels(self, index: int, target: str) -> np.ndarray:
+        if self.root is None or index in self._cache:
+            return self.shard(index).labels(target)
+        entry = self.entries[index]
+        try:
+            with np.load(self.root / entry.name, allow_pickle=False) as z:
+                member = f"label_{target}"
+                if target == "policed" and member not in z.files:
+                    return np.zeros(entry.n_sessions, dtype=np.int64)
+                return np.asarray(z[member], dtype=np.int64)
+        except (OSError, ValueError, KeyError, zipfile.BadZipFile) as exc:
+            raise format_error(
+                self.root, f"cannot read labels of {entry.name}: {exc}"
+            ) from exc
+
+    def label_distribution(self, target: str) -> np.ndarray:
+        """Fraction of sessions per category, ``[low, medium, high]``."""
+        counts = np.bincount(self.labels(target), minlength=3)
+        if counts.sum() == 0:
+            return np.zeros(3)
+        return counts / counts.sum()
 
     def tls_table(self) -> TransactionTable:
         """The corpus's TLS transactions as one columnar table.
 
-        Built once and cached (loaded corpora arrive with it already
-        populated); every vectorized consumer — feature extraction,
-        boundary evaluation — shares this instance.  The
-        cache tracks the session count, so a table built before direct
-        ``sessions`` mutations is discarded; consumers that mutate
-        records in place should call :meth:`invalidate_tls_table`.
+        Each shard builds its table once (a loaded shard arrives with
+        it), so every vectorized consumer shares those instances.  A
+        directory corpus materializes every shard here; out-of-core
+        paths use :meth:`iter_tables`.
         """
-        table = self._tls_table
-        if table is None or table.n_sessions != len(self.sessions):
-            table = TransactionTable.from_sessions(
-                [s.tls_transactions for s in self.sessions]
-            )
-            self._tls_table = table
-        return table
+        return TransactionTable.concat(list(self.iter_tables()))
 
-    def invalidate_tls_table(self) -> None:
-        """Drop the cached columnar view (after in-place session edits)."""
-        self._tls_table = None
-
-    # ------------------------------------------------------------------
+    # -- storage ---------------------------------------------------------
     def save(self, path: str | Path, shard_size: int | None = None):
         """Write the corpus as one format-4 shard file at ``path``.
 
         The bytes are exactly those
         :func:`repro.collection.shards.write_shard` produces for the
-        same sessions, under whatever name the caller gave.  The write is atomic (temp file + ``os.replace``), so a
-        concurrent reader never sees a truncated corpus.
+        same sessions, under whatever name the caller gave.  The write
+        is atomic (temp file + ``os.replace``), so a concurrent reader
+        never sees a truncated corpus.
 
         With ``shard_size`` set, ``path`` becomes a format-4 *shard
         directory* instead (:func:`repro.collection.shards.save_sharded`
         — ``shard_size`` sessions per npz shard, manifest written
-        last); the lazy :class:`~repro.collection.shards.ShardedDataset`
-        view of what was written is returned.
+        last), and the corpus loaded back from it is returned.
         """
         path = Path(path)
         if shard_size is not None:
             return save_sharded(self, path, shard_size)
-        with telemetry.span("dataset.save", sessions=len(self.sessions)) as sp:
-            raw = shard_bytes(self.service, self.sessions)
+        records = self.sessions
+        with telemetry.span("dataset.save", sessions=len(records)) as sp:
+            raw = shard_bytes(self.service, records)
             sp.set(bytes=len(raw))
             telemetry.count("dataset.bytes_written", len(raw))
             atomic_write_bytes(path, raw)
 
     @classmethod
-    def load(cls, path: str | Path):
+    def load(cls, path: str | Path) -> "Dataset":
         """Read a corpus written by :meth:`save`.
 
-        ``path`` may be a corpus *file* (returning a :class:`Dataset`)
-        or a format-4 shard *directory* — or its ``manifest.json`` —
-        returning a lazy :class:`~repro.collection.shards.ShardedDataset`
-        that reads only the manifest up front.
+        ``path`` may be a corpus *file*, read whole — every member is
+        decompressed and checked — or a format-4 shard *directory* (or
+        its ``manifest.json``), of which only the manifest is read up
+        front.  The loader never dispatches on the file suffix.
 
-        A malformed or truncated corpus file, or a retired JSON one
+        A malformed or truncated corpus, or a retired JSON one
         (formats 1-3), raises :class:`DatasetFormatError` naming the
         path.  A missing path keeps raising plain ``OSError``.
         """
         path = Path(path)
         if path.is_dir() or path.name == MANIFEST_NAME:
-            return ShardedDataset.load(path)
+            root, payload, entries = read_manifest(path)
+            dataset = cls(payload["service"])
+            dataset.root = root
+            dataset.entries = entries
+            dataset._manifest = payload
+            return dataset
         with telemetry.span("dataset.load", bytes=path.stat().st_size) as sp:
-            dataset = read_shard(path)
-            sp.set(sessions=len(dataset))
+            shard = read_shard(path)
+            sp.set(sessions=len(shard))
+        dataset = cls(shard.service)
+        dataset._shards.append(shard)
         return dataset
+
+    def verify(self) -> dict:
+        """Re-hash every shard file of a shard directory against its manifest.
+
+        Returns ``{"shards": n, "bytes": total}`` on success; raises
+        :class:`DatasetFormatError` naming every missing or corrupt
+        shard otherwise.
+        """
+        problems = []
+        total = 0
+        for entry in self.entries:
+            try:
+                raw = (self.root / entry.name).read_bytes()
+            except OSError:
+                problems.append(f"{entry.name}: missing")
+                continue
+            total += len(raw)
+            actual = hashlib.sha256(raw).hexdigest()
+            if actual != entry.sha256:
+                problems.append(
+                    f"{entry.name}: digest mismatch "
+                    f"(manifest {entry.sha256[:12]}..., file {actual[:12]}...)"
+                )
+        if problems:
+            raise format_error(self.root, "; ".join(problems))
+        return {"shards": len(self.entries), "bytes": total}

@@ -43,6 +43,7 @@ import numpy as np
 
 from repro import telemetry
 from repro.artifacts import get_store
+from repro.collection.dataset import Dataset
 from repro.collection.harness import (
     CollectionConfig,
     collect_records,
@@ -51,9 +52,8 @@ from repro.collection.harness import (
 )
 from repro.collection.shards import (
     ShardEntry,
-    ShardedDataset,
-    decode_shard,
     manifest_payload,
+    read_shard,
     write_manifest,
     write_shard,
 )
@@ -133,7 +133,7 @@ def collect_corpus_sharded(
     config: CollectionConfig | None = None,
     n_jobs: int | None = None,
     workload=None,
-) -> ShardedDataset:
+) -> Dataset:
     """Collect a corpus directly into a format-4 shard directory.
 
     The randomness contract matches
@@ -142,8 +142,8 @@ def collect_corpus_sharded(
     regardless of shard size or worker count, so the sessions are
     bit-identical to a monolithic collection with the same seed.
     ``shard_size`` defaults to ``REPRO_SHARD_SIZE`` and then to
-    :data:`DEFAULT_SHARD_SIZE`.  Returns the lazy
-    :class:`~repro.collection.shards.ShardedDataset` over ``out``.
+    :data:`DEFAULT_SHARD_SIZE`.  Returns the corpus over ``out``, of
+    which only the manifest has been read.
     """
     if n_sessions < 0:
         raise ValueError("n_sessions must be non-negative")
@@ -192,7 +192,7 @@ def collect_corpus_sharded(
                 workload=wl.name,
             ),
         )
-    return ShardedDataset.load(root)
+    return Dataset.load(root)
 
 
 # ----------------------------------------------------------------------
@@ -203,20 +203,20 @@ TLS_SHARD_STAGE = "tls-features-shard"
 
 
 def _extract_shard(task) -> np.ndarray:
-    """Worker: pure compute — load one shard, return its feature block.
+    """Worker: pure compute — read one shard, return its feature block.
 
-    Deliberately touches no artifact store: the coordinator owns all
-    cache reads and writes, so hit/miss counters and on-disk state
-    stay consistent no matter where workers inherited their config.
+    The shard is read and checked like any corpus file, and only its
+    TLS table is used: no session record is built.  Deliberately
+    touches no artifact store: the coordinator owns all cache reads
+    and writes, so hit/miss counters and on-disk state stay consistent
+    no matter where workers inherited their config.
     """
     path, intervals = task
-    with np.load(path, allow_pickle=False) as z:
-        shard = decode_shard({name: z[name] for name in z.files})
-    return extract_tls_table(shard.tls_table(), intervals)
+    return extract_tls_table(read_shard(path).tls_table(), intervals)
 
 
 def extract_tls_sharded(
-    dataset: ShardedDataset,
+    dataset: Dataset,
     intervals: tuple[int, ...] = TEMPORAL_INTERVALS,
     n_jobs: int | None = None,
 ) -> tuple[np.ndarray, tuple[str, ...]]:
@@ -286,7 +286,7 @@ def _score_shard(task) -> np.ndarray:
 
 def score_sharded(
     model,
-    dataset: ShardedDataset,
+    dataset: Dataset,
     intervals: tuple[int, ...] = TEMPORAL_INTERVALS,
     n_jobs: int | None = None,
 ) -> np.ndarray:

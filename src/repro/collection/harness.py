@@ -282,7 +282,4 @@ def collect_corpus(
             if hi > lo
         ]
         chunks = parallel_map(_collect_chunk, tasks, n_jobs=jobs, chunksize=1)
-        dataset = Dataset(service=profile.name)
-        for records in chunks:
-            dataset.sessions.extend(records)
-    return dataset
+        return Dataset(profile.name, [r for records in chunks for r in records])

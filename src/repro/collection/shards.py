@@ -1,8 +1,8 @@
-"""Format-4 corpora: npz shard blocks, alone or in a sharded directory.
+"""Format-4 storage: the shard codec, the shard reader, the manifest.
 
-A corpus *file* is exactly one shard (:meth:`Dataset.save
-<repro.collection.dataset.Dataset.save>`).  A corpus that must not be
-materialized whole is a *directory* of them::
+A corpus (:class:`~repro.collection.dataset.Dataset`) is an ordered
+list of shards.  A corpus *file* is exactly one shard; a corpus that
+must not be materialized whole is a *directory* of them::
 
     corpus.shards/
         manifest.json        # format, service, per-shard counts/digests
@@ -15,28 +15,27 @@ Each shard packs a fixed run of sessions as plain numpy arrays — one
 columns (the struct-of-arrays layout, SNI dictionary-encoded) plus
 flat+offset encodings of the per-session HTTP/transfer/connection
 arrays and scalar columns.  ``np.savez_compressed`` stores the raw
-bytes, and ``np.load`` decompresses only the members a reader
-touches, so reading a shard's label column never materializes its
-transactions.
+bytes, so the round-trip is exact to the bit.
+
+:func:`read_shard` decompresses and checks every member, then keeps
+the shard as columns (:class:`Shard`): the TLS table and the label
+columns are all the detector reads, and
+:class:`~repro.collection.dataset.SessionRecord` objects are decoded
+from the other columns only when a caller asks for sessions.
 
 The manifest carries per-shard session counts, per-target label
-distributions, and the SHA-256 digest of every shard file.  Its
-canonical-JSON digest (:attr:`ShardedDataset.manifest_digest`) is the
-corpus's content address and is what downstream
-:mod:`repro.artifacts` fingerprints hang off — a warm pipeline run
-reads nothing but the manifest.
+counts, and the SHA-256 digest of every shard file.  Its
+canonical-JSON digest (:attr:`Dataset.manifest_digest
+<repro.collection.dataset.Dataset.manifest_digest>`) is the corpus's
+content address and is what downstream :mod:`repro.artifacts`
+fingerprints hang off — a warm pipeline run reads nothing but the
+manifest.
 
 Write protocol (crash safety): shard files land first, each atomically
 (temp + ``os.replace``); the manifest is written **last**.  A crash
 mid-write therefore leaves a directory without a (current) manifest,
-which :meth:`ShardedDataset.load` reports as an incomplete corpus —
-never a silently short one.  :meth:`ShardedDataset.verify` re-hashes
-every shard against the manifest.
-
-Loading a shard directory gives a lazy :class:`ShardedDataset`: shards
-materialize on demand through a small LRU (``shards.cache_hit`` /
-``shards.materialized`` telemetry counters prove cache behaviour), so
-peak memory is bounded by the shard size, not the corpus size.
+which :func:`read_manifest` reports as an incomplete corpus — never a
+silently short one.
 """
 
 from __future__ import annotations
@@ -45,16 +44,15 @@ import hashlib
 import io
 import json
 import zlib
-from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 import zipfile
 
 import numpy as np
 
 from repro import telemetry
-from repro.artifacts import atomic_write_bytes, canonical_json
+from repro.artifacts import atomic_write_bytes
 from repro.qoe.labels import TARGETS, SessionLabels
 from repro.tlsproxy.table import TransactionTable
 
@@ -62,9 +60,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.collection.dataset import Dataset, SessionRecord
 
 __all__ = [
+    "DatasetFormatError",
     "MANIFEST_NAME",
+    "Shard",
     "ShardEntry",
-    "ShardedDataset",
+    "read_manifest",
     "read_shard",
     "save_sharded",
     "shard_bytes",
@@ -78,9 +78,9 @@ MANIFEST_NAME = "manifest.json"
 #: Shard file naming (index -> file name).
 _SHARD_NAME_FMT = "shard-{:05d}.npz"
 
-#: Shards kept materialized per dataset (coordinator needs at most the
-#: one it reads plus one of lookahead).
-_DEFAULT_CACHED_SHARDS = 2
+
+class DatasetFormatError(RuntimeError):
+    """A corpus file is malformed, truncated, or of an unknown format."""
 
 
 def shard_name(index: int) -> str:
@@ -88,14 +88,13 @@ def shard_name(index: int) -> str:
     return _SHARD_NAME_FMT.format(index)
 
 
-def _format_error(root: Path, message: str) -> Exception:
-    from repro.collection.dataset import DatasetFormatError
-
+def format_error(root: Path, message: str) -> DatasetFormatError:
+    """The error for a malformed shard directory."""
     return DatasetFormatError(f"corrupt sharded corpus {root}: {message}")
 
 
 # ----------------------------------------------------------------------
-# Shard block codec: list[SessionRecord] <-> dict of arrays
+# Shard block codec: list[SessionRecord] -> dict of arrays
 
 
 def _str_array(values: Sequence[str]) -> np.ndarray:
@@ -118,6 +117,13 @@ _HTTP_DTYPES = {
     "resource_code": np.int8,
     "quality": np.int8,
 }
+
+_OFFSET_COLUMNS = (
+    "session_hosts_offsets",
+    "http_offsets",
+    "transfer_offsets",
+    "connection_offsets",
+)
 
 _SCALAR_COLUMNS = (
     "watch_duration_s",
@@ -197,91 +203,6 @@ def encode_shard(service: str, records: "Sequence[SessionRecord]") -> dict:
     return arrays
 
 
-def decode_shard(arrays: dict) -> "Dataset":
-    """Inverse of :func:`encode_shard`: a one-shard :class:`Dataset`."""
-    from repro.collection.dataset import Dataset, SessionRecord
-
-    service = str(arrays["service"][0])
-    scenario = str(arrays["scenario"][0]) if "scenario" in arrays else "identity"
-    workload = str(arrays["workload"][0]) if "workload" in arrays else "has"
-    policed = (
-        np.asarray(arrays["label_policed"], dtype=np.int64)
-        if "label_policed" in arrays
-        else None
-    )
-    table = TransactionTable.from_arrays(
-        {k[len("tls_"):]: arrays[k] for k in arrays if k.startswith("tls_")}
-    )
-    for column in ("start", "end", "uplink", "downlink"):
-        if not np.isfinite(getattr(table, column)).all():
-            raise ValueError(f"TLS column {column!r} holds non-finite values")
-    n = table.n_sessions
-    host_offsets = np.asarray(arrays["session_hosts_offsets"], dtype=np.int64)
-    http_offsets = np.asarray(arrays["http_offsets"], dtype=np.int64)
-    transfer_offsets = np.asarray(arrays["transfer_offsets"], dtype=np.int64)
-    connection_offsets = np.asarray(arrays["connection_offsets"], dtype=np.int64)
-    for name, offsets in (
-        ("session_hosts_offsets", host_offsets),
-        ("http_offsets", http_offsets),
-        ("transfer_offsets", transfer_offsets),
-        ("connection_offsets", connection_offsets),
-    ):
-        if offsets.shape[0] != n + 1:
-            raise ValueError(f"{name} does not cover every session")
-    hosts = [str(h) for h in arrays["session_hosts"]]
-    sessions = []
-    for i in range(n):
-        lo, hi = int(http_offsets[i]), int(http_offsets[i + 1])
-        http = {
-            column: np.asarray(
-                arrays[f"http_{column}"][lo:hi], dtype=dtype
-            ).copy()
-            for column, dtype in _HTTP_DTYPES.items()
-        }
-        labels = SessionLabels(
-            rebuffering_ratio=float(arrays["label_rebuffering_ratio"][i]),
-            rebuffering=int(arrays["label_rebuffering"][i]),
-            quality=int(arrays["label_quality"][i]),
-            combined=int(arrays["label_combined"][i]),
-            policed=int(policed[i]) if policed is not None else 0,
-        )
-        sessions.append(
-            SessionRecord(
-                service=service,
-                video_id=str(arrays["video_id"][i]),
-                tls_transactions=table.transactions(i),
-                http=http,
-                transfers=np.asarray(
-                    arrays["transfers"][
-                        transfer_offsets[i]:transfer_offsets[i + 1]
-                    ],
-                    dtype=np.float64,
-                ).reshape(-1, 10).copy(),
-                connections=np.asarray(
-                    arrays["connections"][
-                        connection_offsets[i]:connection_offsets[i + 1]
-                    ],
-                    dtype=np.float64,
-                ).reshape(-1, 3).copy(),
-                labels=labels,
-                watch_duration_s=float(arrays["watch_duration_s"][i]),
-                session_end=float(arrays["session_end"][i]),
-                play_time=float(arrays["play_time"][i]),
-                stall_time=float(arrays["stall_time"][i]),
-                startup_delay=float(arrays["startup_delay"][i]),
-                link_mean_bps=float(arrays["link_mean_bps"][i]),
-                session_hosts=tuple(
-                    hosts[host_offsets[i]:host_offsets[i + 1]]
-                ),
-                scenario=scenario,
-                workload=workload,
-            )
-        )
-    dataset = Dataset(service=service, sessions=sessions)
-    dataset._tls_table = table
-    return dataset
-
-
 def shard_bytes(service: str, records: "Sequence[SessionRecord]") -> bytes:
     """The npz file bytes of one shard (also a whole corpus file)."""
     buffer = io.BytesIO()
@@ -289,21 +210,180 @@ def shard_bytes(service: str, records: "Sequence[SessionRecord]") -> bytes:
     return buffer.getvalue()
 
 
+# ----------------------------------------------------------------------
+# The shard: columns, with records decoded on demand
+
+
+class Shard:
+    """One shard's sessions: TLS table and labels as columns.
+
+    A shard read from disk (:func:`read_shard`) holds its checked
+    columns and decodes :class:`~repro.collection.dataset.SessionRecord`
+    objects from them on the first :meth:`records` call.  A shard of
+    collected records keeps them and builds its table on first use.
+    """
+
+    def __init__(
+        self,
+        service: str,
+        scenario: str,
+        workload: str,
+        records: "list[SessionRecord] | None" = None,
+        columns: dict | None = None,
+        table: TransactionTable | None = None,
+    ):
+        self.service = service
+        self.scenario = scenario
+        self.workload = workload
+        self._records = records
+        self._columns = columns
+        self._table = table
+
+    def __len__(self) -> int:
+        if self._columns is None:
+            return len(self._records)
+        return self._table.n_sessions
+
+    def tls_table(self) -> TransactionTable:
+        """Every session's TLS transactions as one columnar table."""
+        if self._table is None:
+            self._table = TransactionTable.from_sessions(
+                [r.tls_transactions for r in self._records]
+            )
+        return self._table
+
+    def labels(self, target: str) -> np.ndarray:
+        """One label column (``policed`` included), as a fresh array."""
+        if self._columns is not None:
+            return self._columns[f"label_{target}"].copy()
+        return np.array([r.labels.get(target) for r in self._records], dtype=np.int64)
+
+    def records(self) -> "list[SessionRecord]":
+        """The shard's sessions as records, decoded once."""
+        if self._records is None:
+            self._records = self._decode()
+        return self._records
+
+    def _decode(self) -> "list[SessionRecord]":
+        from repro.collection.dataset import SessionRecord
+
+        c = self._columns
+        table = self._table
+        hosts = [str(h) for h in c["session_hosts"]]
+        host_offsets = c["session_hosts_offsets"]
+        http_offsets = c["http_offsets"]
+        transfer_offsets = c["transfer_offsets"]
+        connection_offsets = c["connection_offsets"]
+        records = []
+        for i in range(len(self)):
+            lo, hi = int(http_offsets[i]), int(http_offsets[i + 1])
+            records.append(
+                SessionRecord(
+                    service=self.service,
+                    video_id=str(c["video_id"][i]),
+                    tls_transactions=table.transactions(i),
+                    http={
+                        column: c[f"http_{column}"][lo:hi].copy()
+                        for column in _HTTP_DTYPES
+                    },
+                    transfers=c["transfers"][
+                        transfer_offsets[i]:transfer_offsets[i + 1]
+                    ].copy(),
+                    connections=c["connections"][
+                        connection_offsets[i]:connection_offsets[i + 1]
+                    ].copy(),
+                    labels=SessionLabels(
+                        rebuffering_ratio=float(c["label_rebuffering_ratio"][i]),
+                        rebuffering=int(c["label_rebuffering"][i]),
+                        quality=int(c["label_quality"][i]),
+                        combined=int(c["label_combined"][i]),
+                        policed=int(c["label_policed"][i]),
+                    ),
+                    **{column: float(c[column][i]) for column in _SCALAR_COLUMNS},
+                    session_hosts=tuple(hosts[host_offsets[i]:host_offsets[i + 1]]),
+                    scenario=self.scenario,
+                    workload=self.workload,
+                )
+            )
+        return records
+
+
+def _validated_shard(arrays: dict) -> Shard:
+    """Check every member of one shard and keep it as columns.
+
+    Every check a decoded :class:`SessionRecord` would make runs here,
+    once per column, so a shard that loads can always be decoded.
+    """
+    table = TransactionTable.from_arrays(
+        {k[len("tls_"):]: arrays[k] for k in arrays if k.startswith("tls_")}
+    )
+    if np.any(table.end < table.start):
+        raise ValueError("a TLS transaction ends before it starts")
+    counts = np.concatenate([table.uplink, table.downlink])
+    if np.any(counts < 0) or np.any(counts != np.floor(counts)):
+        raise ValueError("TLS byte counts must be non-negative whole numbers")
+    if "" in table.sni:
+        raise ValueError("a TLS transaction has an empty SNI")
+    n = table.n_sessions
+
+    def column(name: str, dtype, rows, width: int | None = None) -> np.ndarray:
+        values, expected = arrays[name], np.dtype(dtype)
+        # Exact dtypes: a cast would truncate or wrap a corrupt value
+        # silently.  Strings only need to be unicode, of any width.
+        if values.dtype != expected and not values.dtype.kind == expected.kind == "U":
+            raise ValueError(f"{name} has dtype {values.dtype}, expected {expected}")
+        if values.shape != ((rows,) if width is None else (rows, width)):
+            raise ValueError(f"{name} does not cover every session")
+        return values
+
+    columns = {}
+    for name in _OFFSET_COLUMNS:
+        offsets = columns[name] = column(name, np.int64, n + 1)
+        if offsets[0] != 0 or np.any(np.diff(offsets) < 0):
+            raise ValueError(f"{name} must rise monotonically from 0")
+    columns["video_id"] = column("video_id", np.str_, n)
+    for name in _SCALAR_COLUMNS + ("label_rebuffering_ratio",):
+        columns[name] = column(name, np.float64, n)
+    arrays.setdefault("label_policed", np.zeros(n, dtype=np.int64))
+    for target in TARGETS + ("policed",):
+        top = 1 if target == "policed" else 2
+        labels = columns[f"label_{target}"] = column(f"label_{target}", np.int64, n)
+        if np.any((labels < 0) | (labels > top)):
+            raise ValueError(f"label_{target} holds a category outside 0-{top}")
+    columns["session_hosts"] = column(
+        "session_hosts", np.str_, columns["session_hosts_offsets"][-1]
+    )
+    for name, dtype in _HTTP_DTYPES.items():
+        columns[f"http_{name}"] = column(f"http_{name}", dtype, columns["http_offsets"][-1])
+    columns["transfers"] = column(
+        "transfers", np.float64, columns["transfer_offsets"][-1], 10
+    )
+    columns["connections"] = column(
+        "connections", np.float64, columns["connection_offsets"][-1], 3
+    )
+    return Shard(
+        str(arrays["service"][0]),
+        str(arrays["scenario"][0]) if "scenario" in arrays else "identity",
+        str(arrays["workload"][0]) if "workload" in arrays else "has",
+        columns=columns,
+        table=table,
+    )
+
+
 #: Leading bytes of the retired JSON corpus files (formats 1-3):
 #: gzip's magic number, or the JSON text itself.
 _JSON_CORPUS_HEADS = (b"\x1f\x8b", b"{", b"[")
 
 
-def read_shard(path: str | Path) -> "Dataset":
-    """Decode one shard file — a corpus file or a directory's shard.
+def read_shard(path: str | Path) -> Shard:
+    """Read one shard file — a corpus file or a directory's shard.
 
-    Any malformed, truncated or retired-format file raises a single
-    :class:`~repro.collection.dataset.DatasetFormatError` naming
-    ``path``; decoding internals (``BadZipFile``, ``KeyError``, ...)
-    never leak.  A missing path raises plain ``OSError``.
+    Every member is decompressed (the zip CRC checks each) and
+    validated before the shard is returned.  Any malformed, truncated
+    or retired-format file raises a single :class:`DatasetFormatError`
+    naming ``path``; decoding internals (``BadZipFile``, ``KeyError``,
+    ...) never leak.  A missing path raises plain ``OSError``.
     """
-    from repro.collection.dataset import DatasetFormatError
-
     with open(path, "rb") as fh:
         if fh.read(64).lstrip().startswith(_JSON_CORPUS_HEADS):
             raise DatasetFormatError(
@@ -316,7 +396,7 @@ def read_shard(path: str | Path) -> "Dataset":
             if not isinstance(archive, np.lib.npyio.NpzFile):
                 raise ValueError("not an npz archive")
             with archive:
-                return decode_shard({name: archive[name] for name in archive.files})
+                return _validated_shard({name: archive[name] for name in archive.files})
         except (
             ValueError,
             KeyError,
@@ -437,18 +517,59 @@ def write_manifest(root: str | Path, payload: dict) -> None:
     )
 
 
-def save_sharded(dataset, path: str | Path, shard_size: int) -> "ShardedDataset":
+def read_manifest(path: str | Path) -> tuple[Path, dict, list[ShardEntry]]:
+    """``(root, payload, entries)`` of a shard directory (or its manifest).
+
+    A directory without a manifest — an interrupted write, or simply
+    not a corpus — raises :class:`DatasetFormatError` saying so; a
+    malformed manifest likewise.
+    """
+    root = Path(path)
+    if root.name == MANIFEST_NAME:
+        root = root.parent
+    manifest = root / MANIFEST_NAME
+    if not manifest.is_file():
+        raise format_error(
+            root,
+            f"no {MANIFEST_NAME} (incomplete shard directory — "
+            "interrupted write? — or not a corpus)",
+        )
+    try:
+        payload = json.loads(manifest.read_text())
+        if not isinstance(payload, dict):
+            raise ValueError("manifest is not a JSON object")
+        version = payload.get("format")
+        if version != 4:
+            raise ValueError(f"unknown shard-directory format {version!r}")
+        if not isinstance(payload["service"], str):
+            raise ValueError("manifest service is not a string")
+        if int(payload["shard_size"]) < 1:
+            raise ValueError("manifest shard_size must be >= 1")
+        entries = [ShardEntry.from_dict(e) for e in payload["shards"]]
+        claimed = int(payload["n_sessions"])
+        held = sum(e.n_sessions for e in entries)
+        if held != claimed:
+            raise ValueError(
+                f"manifest claims {claimed} sessions but shards hold {held}"
+            )
+    except (KeyError, IndexError, ValueError, TypeError) as exc:
+        raise format_error(root, str(exc)) from exc
+    return root, payload, entries
+
+
+def save_sharded(dataset: "Dataset", path: str | Path, shard_size: int) -> "Dataset":
     """Write any corpus as a format-4 shard directory.
 
-    ``dataset`` is a :class:`~repro.collection.dataset.Dataset` or a
-    :class:`ShardedDataset` (re-sharding); sessions are consumed
-    shard-at-a-time, so peak memory is bounded by ``shard_size`` even
-    when re-sharding a corpus that does not fit in RAM.  Shard files
-    are written first (each atomic), the manifest last; any stale
-    manifest is removed up front so a crash mid-write leaves an
-    explicitly incomplete directory, and stale shard files beyond the
-    new manifest are cleaned up afterwards.
+    Sessions are consumed shard-at-a-time, so peak memory is bounded by
+    ``shard_size`` even when re-sharding a corpus that does not fit in
+    RAM.  Shard files are written first (each atomic), the manifest
+    last; any stale manifest is removed up front so a crash mid-write
+    leaves an explicitly incomplete directory, and stale shard files
+    beyond the new manifest are cleaned up afterwards.  Returns the
+    corpus loaded back from the directory.
     """
+    from repro.collection.dataset import Dataset
+
     if shard_size < 1:
         raise ValueError(f"shard_size must be >= 1, got {shard_size}")
     root = Path(path)
@@ -479,270 +600,8 @@ def save_sharded(dataset, path: str | Path, shard_size: int) -> "ShardedDataset"
                 service,
                 shard_size,
                 entries,
-                scenario=getattr(dataset, "scenario", "identity"),
-                workload=getattr(dataset, "workload", "has"),
+                scenario=dataset.scenario,
+                workload=dataset.workload,
             ),
         )
-    return ShardedDataset.load(root)
-
-
-# ----------------------------------------------------------------------
-# The lazy corpus view
-
-
-class ShardedDataset:
-    """A format-4 corpus: manifest in memory, shards loaded on demand.
-
-    Duck-compatible with :class:`~repro.collection.dataset.Dataset`
-    everywhere the pipeline reads corpora — ``service``, ``len()``,
-    iteration (shard-at-a-time), ``labels``/``label_distribution``,
-    ``profile`` — plus the shard-level access the out-of-core paths
-    use (:meth:`shard`, :meth:`iter_shards`, :meth:`iter_tables`).
-    Materialized shards sit in a small LRU; ``counters`` tallies
-    ``materialized``/``cache_hits`` (mirrored as ``shards.*``
-    telemetry counters) so cache behaviour is provable in benchmarks.
-    """
-
-    #: Format version of this layout (corpus files are format 4 too).
-    format = 4
-
-    def __init__(
-        self,
-        root: Path,
-        payload: dict,
-        max_cached_shards: int = _DEFAULT_CACHED_SHARDS,
-    ):
-        self.root = Path(root)
-        self.service: str = str(payload["service"])
-        self.scenario: str = str(payload.get("scenario", "identity"))
-        self.workload: str = str(payload.get("workload", "has"))
-        self.shard_size: int = int(payload["shard_size"])
-        self.entries: list[ShardEntry] = [
-            ShardEntry.from_dict(e) for e in payload["shards"]
-        ]
-        self.n_sessions: int = int(payload["n_sessions"])
-        self.max_cached_shards = max_cached_shards
-        self.counters = {"materialized": 0, "cache_hits": 0}
-        self._payload = payload
-        self._cache: OrderedDict[int, "Dataset"] = OrderedDict()
-        self._bounds = np.zeros(len(self.entries) + 1, dtype=np.int64)
-        counts = np.fromiter(
-            (e.n_sessions for e in self.entries),
-            dtype=np.int64,
-            count=len(self.entries),
-        )
-        np.cumsum(counts, out=self._bounds[1:])
-        if int(self._bounds[-1]) != self.n_sessions:
-            raise ValueError(
-                f"manifest claims {self.n_sessions} sessions but shards "
-                f"hold {int(self._bounds[-1])}"
-            )
-
-    # -- loading -------------------------------------------------------
-    @classmethod
-    def load(cls, path: str | Path) -> "ShardedDataset":
-        """Open a shard directory (or its ``manifest.json``) lazily.
-
-        Only the manifest is read.  A directory without one — an
-        interrupted write, or simply not a corpus — raises
-        :class:`~repro.collection.dataset.DatasetFormatError` with a
-        message saying so; a malformed manifest likewise.
-        """
-        root = Path(path)
-        if root.name == MANIFEST_NAME:
-            root = root.parent
-        manifest = root / MANIFEST_NAME
-        if not manifest.is_file():
-            raise _format_error(
-                root,
-                f"no {MANIFEST_NAME} (incomplete shard directory — "
-                "interrupted write? — or not a corpus)",
-            )
-        try:
-            payload = json.loads(manifest.read_text())
-            if not isinstance(payload, dict):
-                raise ValueError("manifest is not a JSON object")
-            version = payload.get("format")
-            if version != 4:
-                raise ValueError(f"unknown shard-directory format {version!r}")
-            return cls(root, payload)
-        except (KeyError, IndexError, ValueError, TypeError) as exc:
-            raise _format_error(root, str(exc)) from exc
-
-    # -- dataset interface ---------------------------------------------
-    @property
-    def profile(self):
-        """The profile this corpus was collected on (workload-aware)."""
-        from repro.workloads import get_workload
-
-        return get_workload(self.workload).get_profile(self.service)
-
-    @property
-    def n_shards(self) -> int:
-        return len(self.entries)
-
-    @property
-    def manifest_digest(self) -> str:
-        """Content address of the corpus (SHA-256 of the canonical
-        manifest, which itself contains every shard's digest).  This is
-        what :mod:`repro.artifacts` fingerprints chain from."""
-        return hashlib.sha256(
-            canonical_json(self._payload).encode()
-        ).hexdigest()[:24]
-
-    def __len__(self) -> int:
-        return self.n_sessions
-
-    def __iter__(self) -> "Iterator[SessionRecord]":
-        for i in range(self.n_shards):
-            yield from self.shard(i).sessions
-
-    def __getitem__(self, index: int) -> "SessionRecord":
-        if index < 0:
-            index += self.n_sessions
-        if not 0 <= index < self.n_sessions:
-            raise IndexError(f"session index {index} out of range")
-        s = int(np.searchsorted(self._bounds, index, side="right")) - 1
-        return self.shard(s)[index - int(self._bounds[s])]
-
-    def labels(self, target: str) -> np.ndarray:
-        """Ground-truth categories, streamed from the label columns.
-
-        Reads only each shard's ``label_<target>`` npz member — no
-        transaction or transfer data is ever decompressed.  The
-        ``policed`` column is optional on disk (clean shards omit it),
-        so its absence decodes as all-zeros.
-        """
-        if target not in TARGETS and target != "policed":
-            raise ValueError(
-                f"unknown target {target!r}; expected one of "
-                f"{TARGETS + ('policed',)}"
-            )
-        parts = []
-        for i in range(self.n_shards):
-            cached = self._cache.get(i)
-            if cached is not None:
-                parts.append(cached.labels(target))
-                continue
-            try:
-                with np.load(self._shard_path(i), allow_pickle=False) as z:
-                    member = f"label_{target}"
-                    if target == "policed" and member not in z.files:
-                        parts.append(
-                            np.zeros(self.entries[i].n_sessions, dtype=np.int64)
-                        )
-                    else:
-                        parts.append(np.asarray(z[member], dtype=np.int64))
-            except (OSError, ValueError, KeyError, zipfile.BadZipFile) as exc:
-                raise _format_error(
-                    self.root, f"cannot read labels of {self.entries[i].name}: {exc}"
-                ) from exc
-        if not parts:
-            return np.empty(0, dtype=np.int64)
-        return np.concatenate(parts)
-
-    def label_distribution(self, target: str) -> np.ndarray:
-        """Fraction of sessions per category, straight off the manifest."""
-        if target not in TARGETS:
-            raise ValueError(
-                f"unknown target {target!r}; expected one of {TARGETS}"
-            )
-        counts = np.zeros(3, dtype=np.int64)
-        for entry in self.entries:
-            counts += np.asarray(entry.label_counts[target], dtype=np.int64)
-        if counts.sum() == 0:
-            return np.zeros(3)
-        return counts / counts.sum()
-
-    # -- shard access --------------------------------------------------
-    def _shard_path(self, index: int) -> Path:
-        return self.root / self.entries[index].name
-
-    def shard(self, index: int) -> "Dataset":
-        """Materialize one shard as a :class:`Dataset` (LRU-cached)."""
-        if not 0 <= index < self.n_shards:
-            raise IndexError(f"shard index {index} out of range")
-        cached = self._cache.get(index)
-        if cached is not None:
-            self._cache.move_to_end(index)
-            self.counters["cache_hits"] += 1
-            telemetry.count("shards.cache_hit")
-            return cached
-        entry = self.entries[index]
-        with telemetry.span("shard.load", shard=entry.name) as sp:
-            try:
-                dataset = read_shard(self._shard_path(index))
-            except OSError as exc:
-                raise _format_error(
-                    self.root, f"cannot read shard {entry.name}: {exc}"
-                ) from exc
-            if len(dataset) != entry.n_sessions:
-                raise _format_error(
-                    self.root,
-                    f"shard {entry.name} holds {len(dataset)} sessions, "
-                    f"manifest says {entry.n_sessions}",
-                )
-            sp.set(sessions=len(dataset))
-        self.counters["materialized"] += 1
-        telemetry.count("shards.materialized")
-        self._cache[index] = dataset
-        while len(self._cache) > self.max_cached_shards:
-            self._cache.popitem(last=False)
-        return dataset
-
-    def iter_shards(self) -> "Iterator[tuple[ShardEntry, Dataset]]":
-        """``(entry, shard)`` pairs, materialized one at a time."""
-        for i, entry in enumerate(self.entries):
-            yield entry, self.shard(i)
-
-    def iter_tables(self) -> Iterator[TransactionTable]:
-        """Per-shard transaction tables, for shard-at-a-time reduction."""
-        for i in range(self.n_shards):
-            yield self.shard(i).tls_table()
-
-    def tls_table(self) -> TransactionTable:
-        """The whole corpus's transactions as one table.
-
-        This *materializes every shard* — it exists for compatibility
-        with consumers that genuinely need the corpus-level view;
-        out-of-core paths should use :meth:`iter_tables`.
-        """
-        return TransactionTable.concat(list(self.iter_tables()))
-
-    def drop_caches(self) -> None:
-        """Forget materialized shards (benchmarks simulate cold reads)."""
-        self._cache.clear()
-
-    def to_dataset(self) -> "Dataset":
-        """Materialize the whole corpus as a monolithic dataset."""
-        from repro.collection.dataset import Dataset
-
-        return Dataset(service=self.service, sessions=list(self))
-
-    # -- integrity -----------------------------------------------------
-    def verify(self) -> dict:
-        """Re-hash every shard file against the manifest.
-
-        Returns ``{"shards": n, "bytes": total}`` on success; raises
-        :class:`~repro.collection.dataset.DatasetFormatError` naming
-        every missing or corrupt shard otherwise.
-        """
-        problems = []
-        total = 0
-        for entry in self.entries:
-            path = self.root / entry.name
-            try:
-                raw = path.read_bytes()
-            except OSError:
-                problems.append(f"{entry.name}: missing")
-                continue
-            total += len(raw)
-            actual = hashlib.sha256(raw).hexdigest()
-            if actual != entry.sha256:
-                problems.append(
-                    f"{entry.name}: digest mismatch "
-                    f"(manifest {entry.sha256[:12]}..., file {actual[:12]}...)"
-                )
-        if problems:
-            raise _format_error(self.root, "; ".join(problems))
-        return {"shards": self.n_shards, "bytes": total}
+    return Dataset.load(root)

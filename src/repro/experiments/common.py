@@ -40,7 +40,6 @@ from repro.collection.harness import (
     collect_corpus,
     resolve_collection_scenario,
 )
-from repro.collection.shards import ShardedDataset
 from repro.features.packet_features import extract_ml16_matrix
 from repro.features.tls_features import (
     TEMPORAL_INTERVALS,
@@ -60,7 +59,7 @@ __all__ = [
     "get_corpus",
     "scenario_corpus",
     "dataset_stage",
-    "ShardedDatasetCodec",
+    "CorpusCodec",
     "profile_corpus",
     "dataset_digest",
     "features_for",
@@ -105,64 +104,56 @@ def corpus_size(service: str) -> int:
 # Corpus artifacts
 
 
-class DatasetCodec:
-    """Corpora persist through the dataset's own (atomic) format."""
+class CorpusCodec:
+    """Corpora persist as what they are: a file or a shard directory.
 
-    extension = ".npz"
-    load_errors = (OSError, DatasetFormatError)
-
-    def save(self, value: Dataset, path) -> None:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        value.save(path)
-
-    def load(self, path) -> Dataset:
-        return Dataset.load(path)
-
-
-DATASET_CODEC = DatasetCodec()
-
-
-class ShardedDatasetCodec:
-    """Sharded corpora persist as their whole format-4 directory.
-
-    ``save`` *moves* the corpus directory into the store (the build
-    stages it under the same cache root, so the move is a rename) and
-    re-roots the live :class:`~repro.collection.shards.ShardedDataset`
-    at its committed location; ``load`` is just the lazy manifest read.
+    ``save`` writes a resident corpus with :meth:`Dataset.save`, and
+    *moves* a shard-directory corpus into the store whole (the build
+    stages it under the same cache root, so the move is a rename),
+    re-rooting it at its committed location.  ``load`` is
+    :meth:`Dataset.load`.  One instance per store extension.
     """
 
-    extension = ".shards"
     load_errors = (OSError, DatasetFormatError)
 
-    def save(self, value: ShardedDataset, path) -> None:
+    def __init__(self, extension: str):
+        self.extension = extension
+
+    def save(self, value: Dataset, path) -> None:
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
+        if value.root is None:
+            value.save(path)
+            return
         if path.exists():
             shutil.rmtree(path)
         shutil.move(str(value.root), str(path))
         value.root = path
 
-    def load(self, path) -> ShardedDataset:
-        return ShardedDataset.load(path)
+    def load(self, path) -> Dataset:
+        return Dataset.load(path)
 
 
-SHARDED_DATASET_CODEC = ShardedDatasetCodec()
+#: Corpus files (``corpus/<key>.npz``) and shard directories
+#: (``corpus/<key>.shards``).
+CORPUS_FILE_CODEC = CorpusCodec(".npz")
+CORPUS_DIR_CODEC = CorpusCodec(".shards")
 
 
 def dataset_digest(dataset: Dataset) -> str | None:
     """The content digest feature/CV stages should chain from, if any.
 
     Datasets produced by :func:`get_corpus` / :func:`dataset_stage`
-    carry their artifact digest; a sharded corpus additionally carries
+    carry their artifact digest; a shard directory additionally carries
     its manifest digest (itself covering every shard's SHA-256), which
     serves even when the corpus never went through the store.  Ad-hoc
-    monolithic corpora (unit tests, CLI files) return None and
+    resident corpora (unit tests, CLI files) return None and
     downstream helpers skip caching for them.
     """
     key = getattr(dataset, "_artifact_digest", None)
     if key is not None:
         return key
-    return getattr(dataset, "manifest_digest", None)
+    return dataset.manifest_digest
 
 
 def dataset_stage(
@@ -170,24 +161,19 @@ def dataset_stage(
     config: dict,
     build: Callable[[], Dataset],
     use_disk: bool = True,
-    codec=DATASET_CODEC,
+    codec: CorpusCodec = CORPUS_FILE_CODEC,
 ) -> Dataset:
     """A corpus-valued artifact stage.
 
     ``build`` runs on a miss; the resulting dataset is stored through
-    ``codec`` (:class:`DatasetCodec` for monolithic corpora,
-    :class:`ShardedDatasetCodec` for format-4 directories), tagged with
-    its digest, and — for monolithic corpora — its columnar transaction
-    table is materialized once so every downstream consumer shares one
-    instance.  Sharded corpora stay lazy: materializing the table would
-    defeat the out-of-core point.
+    ``codec`` (:data:`CORPUS_FILE_CODEC` for corpus files,
+    :data:`CORPUS_DIR_CODEC` for format-4 directories) and tagged with
+    its digest.
     """
     dataset, key = get_store().get_or_compute(
         stage, config, build, codec=codec, use_disk=use_disk
     )
     dataset._artifact_digest = key
-    if not hasattr(dataset, "iter_shards"):
-        dataset.tls_table()
     return dataset
 
 
@@ -205,9 +191,8 @@ def get_corpus(
 
     With ``REPRO_SHARD_SIZE`` set (``config.shard_size``), the stage
     collects through the shard fleet instead and stores a format-4
-    directory: the returned corpus is a lazy
-    :class:`~repro.collection.shards.ShardedDataset` and a warm run
-    reads only its manifest.  The sessions themselves are bit-identical
+    directory: the returned corpus reads its shards on demand and a
+    warm run reads only its manifest.  The sessions themselves are bit-identical
     either way (same per-session seed streams), but the artifacts are
     distinct stages: ``shard_size`` participates in the fingerprint.
 
@@ -233,7 +218,7 @@ def get_corpus(
     shard_size = get_config().shard_size
     if shard_size is not None:
 
-        def build_sharded() -> ShardedDataset:
+        def build_sharded() -> Dataset:
             from repro.artifacts import cache_dir
             from repro.collection.fleet import collect_corpus_sharded
 
@@ -254,7 +239,7 @@ def get_corpus(
             {**stage_config, "shard_size": shard_size},
             build_sharded,
             use_disk=use_disk_cache,
-            codec=SHARDED_DATASET_CODEC,
+            codec=CORPUS_DIR_CODEC,
         )
 
     return dataset_stage(
@@ -306,13 +291,13 @@ def features_for(
 ) -> tuple[np.ndarray, tuple[str, ...]]:
     """The TLS feature matrix of a corpus — the ``tls-features`` stage.
 
-    Sharded corpora go through the fleet instead
+    Shard directories go through the fleet instead
     (:func:`repro.collection.fleet.extract_tls_sharded`): one artifact
     per shard keyed by the shard's own SHA-256, probe-then-compute, so
     a warm run is all per-shard cache hits and peak memory stays
     bounded by the shard size.
     """
-    if hasattr(dataset, "iter_shards"):
+    if dataset.root is not None:
         from repro.collection.fleet import extract_tls_sharded
 
         return extract_tls_sharded(dataset, intervals=intervals)

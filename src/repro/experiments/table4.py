@@ -3,12 +3,11 @@
 The paper implements Dimopoulos et al.'s ML16 on packet traces and
 finds it beats the TLS-transaction model by +5-7% accuracy and +4-9%
 low-class recall — at ~1400x the record volume and ~60x the feature-
-extraction compute (§4.2, also :mod:`repro.experiments.overhead`).
+extraction compute (§4.2).  The cost side is measured in one place,
+:mod:`repro.experiments.overhead`; this table compares accuracy only.
 """
 
 from __future__ import annotations
-
-import time
 
 from repro.collection.dataset import Dataset
 from repro.experiments.common import (
@@ -33,23 +32,15 @@ PAPER_TABLE4 = {
 
 
 def run_service(dataset: Dataset, target: str = "combined") -> dict:
-    """TLS-model vs ML16 A/R/P for one service.
-
-    The timings measure how long each feature matrix takes to obtain —
-    a warm artifact cache makes both near-instant, which is the point.
-    """
+    """TLS-model vs ML16 A/R/P for one service."""
     y = dataset.labels(target)
 
-    t0 = time.perf_counter()
     X_tls, _ = features_for(dataset)
-    tls_extract_s = time.perf_counter() - t0
     tls_report = cv_report_for(
         dataset, X_tls, y, {"features": "tls", "target": target}
     )
 
-    t0 = time.perf_counter()
     X_pkt, _ = ml16_features_for(dataset)
-    pkt_extract_s = time.perf_counter() - t0
     pkt_report = cv_report_for(
         dataset, X_pkt, y, {"features": "ml16", "target": target}
     )
@@ -59,13 +50,11 @@ def run_service(dataset: Dataset, target: str = "combined") -> dict:
             "accuracy": tls_report.accuracy,
             "recall": tls_report.recall,
             "precision": tls_report.precision,
-            "extract_seconds": tls_extract_s,
         },
         "ml16": {
             "accuracy": pkt_report.accuracy,
             "recall": pkt_report.recall,
             "precision": pkt_report.precision,
-            "extract_seconds": pkt_extract_s,
         },
         "gain": {
             "accuracy": pkt_report.accuracy - tls_report.accuracy,
@@ -113,12 +102,6 @@ def main() -> dict:
         )
         rows.append([svc, measured, paper_str])
     print(format_table(["service", "measured A/R/P", "paper A/R/P"], rows))
-    for svc, r in result.items():
-        ratio = r["ml16"]["extract_seconds"] / max(r["tls"]["extract_seconds"], 1e-9)
-        print(
-            f"{svc}: feature extraction {r['ml16']['extract_seconds']:.1f}s packet "
-            f"vs {r['tls']['extract_seconds']:.2f}s TLS ({ratio:.0f}x, paper: 60x)"
-        )
     return result
 
 

@@ -250,39 +250,25 @@ def extract_tls_matrix(
 ) -> tuple[np.ndarray, tuple[str, ...]]:
     """Feature matrix for a whole corpus — the columnar fast path.
 
-    ``dataset`` is a :class:`~repro.collection.dataset.Dataset` (whose
-    cached :meth:`~repro.collection.dataset.Dataset.tls_table` is used),
-    a :class:`~repro.tlsproxy.table.TransactionTable` directly, or a
-    :class:`~repro.collection.shards.ShardedDataset` — which is reduced
-    *shard at a time* (one slab materialized at once, rows stacked in
-    manifest order), bounding peak memory by the shard size.
-    Returns ``(X, names)`` with one row per session; ``names`` equals
-    :data:`TLS_FEATURE_NAMES` for the default interval grid.  Output
-    equals stacking :func:`extract_tls_features` per session: every
-    feature is a within-session reduction, so chunking cannot change
-    any value.
+    ``dataset`` is a :class:`~repro.collection.dataset.Dataset`, reduced
+    *shard at a time* from each shard's TLS table (one shard
+    materialized at once for a shard directory, rows stacked in shard
+    order), or a :class:`~repro.tlsproxy.table.TransactionTable`
+    directly.  No session record is built.  Returns ``(X, names)`` with
+    one row per session; ``names`` equals :data:`TLS_FEATURE_NAMES`
+    for the default interval grid.  Output equals stacking
+    :func:`extract_tls_features` per session: every feature is a
+    within-session reduction, so chunking cannot change any value.
     """
     names = feature_names(intervals)
-    if not isinstance(dataset, TransactionTable) and hasattr(dataset, "iter_tables"):
-        with telemetry.span("features.tls", sessions=len(dataset)) as sp:
-            blocks = [
-                extract_tls_table(table, intervals)
-                for table in dataset.iter_tables()
-                if table.n_sessions
-            ]
-            X = (
-                np.vstack(blocks)
-                if blocks
-                else np.empty((0, len(names)))
-            )
-            sp.set(rows=int(X.shape[0]), cols=int(X.shape[1]))
-        return X, names
-    table = dataset if isinstance(dataset, TransactionTable) else dataset.tls_table()
-    if table.n_sessions == 0:
-        return np.empty((0, len(names))), names
-    with telemetry.span(
-        "features.tls", sessions=table.n_sessions, transactions=table.n_rows
-    ) as sp:
-        X = extract_tls_table(table, intervals)
-        sp.set(rows=int(X.shape[0]), cols=int(X.shape[1]))
+    tables = [dataset] if isinstance(dataset, TransactionTable) else dataset.iter_tables()
+    with telemetry.span("features.tls", sessions=len(dataset)) as sp:
+        blocks = []
+        transactions = 0
+        for table in tables:
+            if table.n_sessions:
+                blocks.append(extract_tls_table(table, intervals))
+                transactions += table.n_rows
+        X = np.vstack(blocks) if blocks else np.empty((0, len(names)))
+        sp.set(transactions=transactions, rows=int(X.shape[0]), cols=int(X.shape[1]))
     return X, names

@@ -108,29 +108,22 @@ def extract_flow_matrix(
 
     Flow export runs per session (it is stateful by nature), but all
     featurization happens columnar: one table for every flow slice in
-    the corpus, one kernel call.  Output equals stacking
+    a shard, one kernel call per shard, rows stacked in shard order.
+    Every feature is a within-session reduction, so the chunking cannot
+    change any value, and output equals stacking
     :func:`extract_flow_features`, which runs the same kernel.
-
-    A :class:`~repro.collection.shards.ShardedDataset` is reduced shard
-    at a time (rows stacked in manifest order) — every feature is a
-    within-session reduction, so the chunking cannot change any value.
     """
-    if hasattr(dataset, "iter_shards"):
-        blocks = [
-            extract_flow_matrix(shard, config)[0]
-            for _, shard in dataset.iter_shards()
-            if len(shard)
-        ]
-        if not blocks:
-            return np.empty((0, len(FLOW_FEATURE_NAMES))), FLOW_FEATURE_NAMES
-        return np.vstack(blocks), FLOW_FEATURE_NAMES
     if len(dataset) == 0:
         return np.empty((0, len(FLOW_FEATURE_NAMES))), FLOW_FEATURE_NAMES
     with telemetry.span("features.flow", sessions=len(dataset)) as sp:
-        per_session = [export_flows(record, config) for record in dataset]
-        if any(not flows for flows in per_session):
-            raise ValueError("a session needs at least one flow record")
-        table, pkts_up, pkts_down = _flow_table(per_session)
-        sp.set(flows=table.n_rows)
-        X = _flow_kernel(table, pkts_up, pkts_down)
-    return X, FLOW_FEATURE_NAMES
+        blocks = []
+        n_flows = 0
+        for shard in dataset.iter_shards():
+            per_session = [export_flows(record, config) for record in shard.records()]
+            if any(not flows for flows in per_session):
+                raise ValueError("a session needs at least one flow record")
+            table, pkts_up, pkts_down = _flow_table(per_session)
+            n_flows += table.n_rows
+            blocks.append(_flow_kernel(table, pkts_up, pkts_down))
+        sp.set(flows=n_flows)
+    return np.vstack(blocks), FLOW_FEATURE_NAMES

@@ -9,10 +9,10 @@ equivalence check the CLI ``--batch-check`` flag and CI use to prove
 streaming verdicts equal the batch pipeline's.
 
 Format-4 shard directories replay lazily: :func:`dataset_streams`
-only iterates the corpus, and a
-:class:`~repro.collection.shards.ShardedDataset` iterates
-shard-at-a-time, so replaying an out-of-core corpus never
-materializes more than one shard of sessions at once.
+only iterates the corpus, and a :class:`~repro.collection.dataset.Dataset`
+iterates shard-at-a-time, decoding one shard's records at a time, so
+replaying an out-of-core corpus never materializes more than one shard
+of sessions at once.
 """
 
 from __future__ import annotations

@@ -95,7 +95,8 @@ class TransactionTable:
     Attributes
     ----------
     start, end, uplink, downlink:
-        ``(n_rows,)`` float64 columns, one row per transaction.
+        ``(n_rows,)`` finite float64 columns, one row per transaction
+        (NaN and ±inf are rejected at construction).
     offsets:
         ``(n_sessions + 1,)`` int64 offset index; session ``s`` owns
         rows ``[offsets[s], offsets[s + 1])``.
@@ -116,6 +117,8 @@ class TransactionTable:
             column = np.ascontiguousarray(getattr(self, name), dtype=np.float64)
             if column.ndim != 1:
                 raise ValueError(f"column {name!r} must be one-dimensional")
+            if not np.isfinite(column).all():
+                raise ValueError(f"column {name!r} holds non-finite values")
             object.__setattr__(self, name, column)
         offsets = np.ascontiguousarray(self.offsets, dtype=np.int64)
         object.__setattr__(self, "offsets", offsets)
@@ -220,6 +223,8 @@ class TransactionTable:
         """Inverse of :meth:`to_arrays` (exact round-trip)."""
         hosts = [str(h) for h in arrays["hosts"]]
         codes = np.asarray(arrays["host_codes"], dtype=np.int64)
+        if codes.size and (codes.min() < 0 or codes.max() >= len(hosts)):
+            raise ValueError("host_codes index past the hosts dictionary")
         return cls(
             start=arrays["start"],
             end=arrays["end"],

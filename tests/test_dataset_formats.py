@@ -77,9 +77,10 @@ class TestFormat3Roundtrip:
     def test_load_prepopulates_table(self, corpus, tmp_path):
         path = tmp_path / "corpus.npz"
         corpus.save(path)
-        loaded = Dataset.load(path)
-        assert loaded._tls_table is not None
-        table = loaded.tls_table()
+        with telemetry.tracing() as tracer:
+            loaded = Dataset.load(path)
+            table = loaded.tls_table()
+        assert "table.build" not in {e["name"] for e in tracer.events}
         np.testing.assert_array_equal(table.start, corpus.tls_table().start)
         assert table.sni == corpus.tls_table().sni
 
@@ -116,6 +117,49 @@ class TestFormat3Roundtrip:
         first = path.read_bytes()
         Dataset.load(path).save(path)
         assert path.read_bytes() == first
+
+
+class TestColumnarLoad:
+    """The detector's path — load, TLS features, labels, length — reads
+    the shard columns and builds no per-session object."""
+
+    @pytest.fixture(params=["file", "directory"])
+    def stored(self, request, corpus, tmp_path):
+        if request.param == "file":
+            path = tmp_path / "corpus.npz"
+            corpus.save(path)
+        else:
+            path = tmp_path / "corpus.shards"
+            corpus.save(path, shard_size=3)
+            assert Dataset.load(path).n_shards == 3
+        return path
+
+    def test_no_records_built(self, corpus, stored, monkeypatch):
+        from repro import api
+        from repro.collection.dataset import SessionRecord
+        from repro.tlsproxy.records import TlsTransaction
+        from repro.tlsproxy.table import TransactionTable
+
+        decoded = Dataset.load(stored)
+        X_ref, _ = extract_tls_matrix(
+            TransactionTable.from_sessions([r.tls_transactions for r in decoded])
+        )
+        y_ref = np.array([r.labels.combined for r in decoded], dtype=np.int64)
+        np.testing.assert_array_equal(X_ref, extract_tls_matrix(corpus)[0])
+
+        def forbidden(self, *args, **kwargs):
+            raise AssertionError(f"{type(self).__name__} built on the TLS path")
+
+        monkeypatch.setattr(TlsTransaction, "__init__", forbidden)
+        monkeypatch.setattr(SessionRecord, "__init__", forbidden)
+        loaded = Dataset.load(stored)
+        X, _ = api.extract_features(loaded)
+        y = loaded.labels("combined")
+        assert len(loaded) == len(corpus)
+        assert X.tobytes() == X_ref.tobytes()
+        assert y.tobytes() == y_ref.tobytes()
+        with pytest.raises(AssertionError, match="built on the TLS path"):
+            loaded[0]
 
 
 class TestBackwardsCompatibility:
@@ -217,6 +261,30 @@ class TestDatasetFormatError:
         rewrite_members(saved, poison)
         err = self._assert_raises_format_error(saved)
         assert "non-finite" in str(err)
+
+    @pytest.mark.parametrize(
+        "member, value",
+        [
+            ("tls_uplink", -1.0),  # negative byte count
+            ("tls_downlink", 2.5),  # fractional byte count
+            ("tls_end", -1.0),  # ends before it starts
+            ("tls_host_codes", -1),  # outside the SNI dictionary
+            ("label_quality", 3),  # not a category
+            ("http_request_bytes", 2.5),  # an int64 member stored as float
+        ],
+    )
+    def test_member_value_a_record_could_not_hold(self, saved, member, value):
+        """The columns are checked at load as a decoded record would
+        check them, so the TLS path cannot read a value the records
+        would refuse."""
+
+        def poison(arrays):
+            column = arrays[member].astype(type(value))
+            column[0] = value
+            arrays[member] = column
+
+        rewrite_members(saved, poison)
+        self._assert_raises_format_error(saved)
 
     def test_offsets_not_covering_rows(self, saved):
         def shorten(arrays):

@@ -163,7 +163,7 @@ class TestExperimentsIntegration:
             store = get_store()
             store.reset_counters()
             sharded = get_corpus("svc1")
-            assert hasattr(sharded, "iter_shards")
+            assert sharded.root is not None
             X_shard, _ = features_for(sharded)
             y_shard = sharded.labels("combined")
             cold = store.counter_snapshot()

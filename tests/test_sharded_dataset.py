@@ -10,7 +10,6 @@ from repro.collection.dataset import Dataset, DatasetFormatError
 from repro.collection.harness import collect_corpus
 from repro.collection.shards import (
     MANIFEST_NAME,
-    ShardedDataset,
     save_sharded,
     shard_name,
 )
@@ -53,14 +52,14 @@ class TestRoundTrip:
 
     def test_dataset_save_dispatches(self, corpus, tmp_path):
         out = corpus.save(tmp_path / "via-save.shards", shard_size=5)
-        assert isinstance(out, ShardedDataset)
+        assert isinstance(out, Dataset)
         assert out.n_shards == 3
 
     def test_dataset_load_dispatches(self, sharded):
         via_dir = Dataset.load(sharded.root)
         via_manifest = Dataset.load(sharded.root / MANIFEST_NAME)
-        assert isinstance(via_dir, ShardedDataset)
-        assert isinstance(via_manifest, ShardedDataset)
+        assert isinstance(via_dir, Dataset)
+        assert isinstance(via_manifest, Dataset)
         assert via_dir.manifest_digest == via_manifest.manifest_digest
 
     def test_getitem_crosses_shard_bounds(self, corpus, sharded):
@@ -88,9 +87,9 @@ class TestRoundTrip:
         with pytest.raises(ValueError):
             sharded.labels("nope")
 
-    def test_to_dataset(self, corpus, sharded):
-        back = sharded.to_dataset()
-        assert isinstance(back, Dataset)
+    def test_sessions_materialize_whole(self, corpus, sharded):
+        back = Dataset(sharded.service, sharded.sessions)
+        assert len(back) == len(corpus)
         for ra, rb in zip(corpus, back):
             assert_records_equal(ra, rb)
 
@@ -133,7 +132,7 @@ class TestCorruption:
         silently short corpus."""
         (sharded.root / MANIFEST_NAME).unlink()
         with pytest.raises(DatasetFormatError, match="incomplete"):
-            ShardedDataset.load(sharded.root)
+            Dataset.load(sharded.root)
 
     def test_empty_dir_is_not_a_corpus(self, tmp_path):
         with pytest.raises(DatasetFormatError):
@@ -142,14 +141,14 @@ class TestCorruption:
     def test_manifest_garbage(self, sharded):
         (sharded.root / MANIFEST_NAME).write_text("{not json")
         with pytest.raises(DatasetFormatError):
-            ShardedDataset.load(sharded.root)
+            Dataset.load(sharded.root)
 
     def test_unknown_format_version(self, sharded):
         payload = json.loads((sharded.root / MANIFEST_NAME).read_text())
         payload["format"] = 99
         (sharded.root / MANIFEST_NAME).write_text(json.dumps(payload))
         with pytest.raises(DatasetFormatError, match="99"):
-            ShardedDataset.load(sharded.root)
+            Dataset.load(sharded.root)
 
     def test_verify_ok(self, sharded):
         report = sharded.verify()

@@ -259,44 +259,87 @@ class TestWorkerMerge:
 
 
 class TestReport:
-    def _sample_trace(self, tmp_path):
-        import time
+    def _sample_trace(self, tmp_path, monkeypatch):
+        """A small trace written under a fake ``perf_counter``.
+
+        Every clock reading advances 1 µs and the ``cv`` span body
+        advances it 50 ms, so span timings do not depend on how busy
+        the machine is.
+        """
+        now = [0.0]
+
+        def perf_counter():
+            now[0] += 1e-6
+            return now[0]
 
         path = tmp_path / "trace.jsonl"
-        with tracing(path):
-            with span("experiment", name="fig5"):
-                with span("artifact", stage="corpus"):
-                    telemetry.count("cache.corpus.hit", 2)
-                    telemetry.count("cache.corpus.miss", 1)
-                with span("cv", folds=5):
-                    # Give the tree measurable weight so the top-level
-                    # span dominates the tracer's own lifetime.
-                    time.sleep(0.05)
+        with monkeypatch.context() as m:
+            m.setattr(telemetry.time, "perf_counter", perf_counter)
+            with tracing(path):
+                with span("experiment", name="fig5"):
+                    with span("artifact", stage="corpus"):
+                        telemetry.count("cache.corpus.hit", 2)
+                        telemetry.count("cache.corpus.miss", 1)
+                    with span("cv", folds=5):
+                        # Give the tree measurable weight so the top-level
+                        # span dominates the tracer's own lifetime.
+                        now[0] += 0.05
         return path
 
-    def test_report_contains_tree_cache_and_coverage(self, tmp_path):
-        report = render_report(self._sample_trace(tmp_path))
+    def test_report_contains_tree_cache_and_coverage(self, tmp_path, monkeypatch):
+        report = render_report(self._sample_trace(tmp_path, monkeypatch))
         assert "experiment[fig5]" in report
         assert "artifact[corpus]" in report
         assert "corpus" in report and "66.7% hit" in report
         assert "top-level spans cover" in report
 
-    def test_report_top_level_coverage_is_high(self, tmp_path):
-        report = render_report(self._sample_trace(tmp_path))
+    def test_report_top_level_coverage_is_high(self, tmp_path, monkeypatch):
+        report = render_report(self._sample_trace(tmp_path, monkeypatch))
         (line,) = [
             l for l in report.splitlines() if l.startswith("top-level spans cover")
         ]
         coverage = float(line.split("cover ")[1].split("%")[0])
         assert coverage >= 95.0
 
-    def test_cli_trace_subcommands(self, tmp_path, capsys):
+    def test_cli_trace_subcommands(self, tmp_path, capsys, monkeypatch):
         from repro.cli import main
 
-        path = self._sample_trace(tmp_path)
+        path = self._sample_trace(tmp_path, monkeypatch)
         assert main(["trace", "validate", str(path)]) == 0
         assert "valid trace" in capsys.readouterr().out
         assert main(["trace", "report", str(path), "--top", "2"]) == 0
         assert "hot paths" in capsys.readouterr().out
+
+    def test_cli_report_into_closed_pipe_exits_quietly(self, tmp_path):
+        """``repro trace report FILE | head -1``: the reader closes the
+        pipe after one line, and the report stops without a traceback."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        path = tmp_path / "wide.jsonl"
+        with tracing(path):
+            for i in range(1000):
+                with span(f"stage{i:04d}"):
+                    with span("inner"):
+                        pass
+        # About 250 kB of report: more than a pipe buffers, so the
+        # writer is still writing when the reader goes away.
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "trace", "report", str(path), "--top", "1000"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert proc.stdout.readline().startswith(b"trace report")
+        proc.stdout.close()
+        stderr = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 141
+        assert "Traceback" not in stderr
+        assert "BrokenPipeError" not in stderr
 
     def test_cli_trace_rejects_garbage(self, tmp_path, capsys):
         from repro.cli import main

@@ -120,6 +120,21 @@ class TestTransactionTable:
         assert table.n_rows == 0
         assert table.n_sessions == 0
 
+    @pytest.mark.parametrize("column", ["start", "end", "uplink", "downlink"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_column_rejected(self, column, bad):
+        """A NaN/inf cell would reach the feature kernel as a non-finite
+        feature, so the table itself refuses it."""
+        columns = {
+            "start": np.array([0.0, 2.0]),
+            "end": np.array([1.0, 3.0]),
+            "uplink": np.array([10.0, 10.0]),
+            "downlink": np.array([100.0, 100.0]),
+        }
+        columns[column][1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            TransactionTable(**columns, offsets=np.array([0, 2]), sni=("a", "b"))
+
     def test_validation(self):
         with pytest.raises(ValueError):
             TransactionTable(

@@ -244,7 +244,6 @@ class TestCorpusDeterminismAndFormats:
 
     def test_workload_round_trips_format4(self, tmp_path):
         from repro.collection.fleet import collect_corpus_sharded
-        from repro.collection.shards import ShardedDataset
 
         sharded = collect_corpus_sharded(
             "live1", 5, tmp_path / "shards", shard_size=2, seed=3,
@@ -252,7 +251,7 @@ class TestCorpusDeterminismAndFormats:
         )
         manifest = json.loads((tmp_path / "shards" / "manifest.json").read_text())
         assert manifest["workload"] == "live"
-        loaded = ShardedDataset.load(tmp_path / "shards")
+        loaded = Dataset.load(tmp_path / "shards")
         assert loaded.workload == "live"
         assert all(r.workload == "live" for r in loaded)
 
